@@ -70,7 +70,6 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   opts.pipeline.num_consumers = 1;
   opts.cache.enable_tensor_cache = enable_cache;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
   Server server(opts, workload.spec, SysoptDecode,
@@ -90,7 +89,7 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   // (thousands/s) would steal measurable CPU from the producers on a small
   // host. Every arrival whose time has passed is submitted on each wakeup,
   // so the offered rate is exact and per-arrival jitter stays under the
-  // quantum (well below the batcher's own delay window at saturation).
+  // quantum.
   const auto start = std::chrono::steady_clock::now();
   auto next_wake = start;
   size_t submitted = 0;
@@ -141,7 +140,6 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
   ServerOptions opts;
   opts.pipeline.num_consumers = 1;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
   if (adaptive) {
@@ -237,7 +235,6 @@ ServerStats RunClosedLoopFleet(const SysoptWorkload& workload,
   ServerOptions opts;
   opts.pipeline.num_consumers = 1;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kBlock;
   opts.dispatch = policy;

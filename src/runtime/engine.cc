@@ -44,16 +44,13 @@ Result<EngineStats> Engine::Run(const std::vector<WorkItem>& items) {
 
   Stopwatch wall;
 
-  // One-shot run = a Server fed the whole work list, then drained. The batch
-  // runner wants full batches, so the coalescing window is effectively
-  // unbounded — Shutdown() flushes the final partial batch immediately.
+  // One-shot run = a Server fed the whole work list, then drained.
   ServerOptions server_options;
   // The flat EngineOptions aggregates the composable pieces, so each one
   // slices off by assignment.
   server_options.pipeline = options_;
   server_options.cache = options_;
   server_options.max_batch = options_.batch_size;
-  server_options.max_queue_delay_us = 1e9;
   server_options.admission_capacity = options_.queue_capacity;
   server_options.overload = OverloadPolicy::kBlock;
   // Device-count axis: replicate the accelerator's options into a

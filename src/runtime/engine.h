@@ -38,7 +38,7 @@ struct PipelineOptions {
   bool enable_dag_opt = true;       ///< optimized preprocessing DAG
 
   int num_producers = 0;  ///< 0 = EffectiveCores(hw concurrency) (§8.1)
-  int num_consumers = 2;  ///< per-shard batcher threads (CUDA streams)
+  int num_consumers = 2;  ///< batches in flight per device
   int queue_capacity = 64;  ///< bounded staging-queue depth
   int batch_size = 16;      ///< device batch size
 };

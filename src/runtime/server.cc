@@ -347,12 +347,12 @@ void Server::BatcherLoop(Shard& shard) {
     auto first = shard.queue->Pop();
     if (!first) break;  // closed and drained
     batch.push_back(std::move(*first));
-    // Dynamic batching: coalesce until full or the delay window expires.
-    const TimePoint deadline = std::chrono::steady_clock::now() +
-                               MicrosToDuration(options_.max_queue_delay_us);
+    // Work-conserving: take the backlog already staged, never wait for more.
+    // Samples queue up while this shard's batches occupy the device, so
+    // batches fill under load and an idle device serves a lone request now.
     while (static_cast<int>(batch.size()) < options_.max_batch) {
-      auto next = shard.queue->PopUntil(deadline);
-      if (!next) break;  // window expired, or closed and drained
+      auto next = shard.queue->TryPop();
+      if (!next) break;
       batch.push_back(std::move(*next));
     }
     FlushBatch(shard, batch);

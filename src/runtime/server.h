@@ -14,11 +14,13 @@
 //
 // — with four serving-specific mechanisms:
 //
-//   Dynamic batching   Each shard's batcher starts a batch with the first
-//                      staged sample it pops, then keeps coalescing until
-//                      the batch reaches max_batch or max_queue_delay_us has
-//                      elapsed, so bursty traffic gets full batches and
-//                      trickling traffic keeps bounded latency.
+//   Dynamic batching   Work-conserving: each shard runs num_consumers
+//                      batchers (batches in flight per device). A batcher
+//                      blocks for the first staged sample, adds whatever
+//                      else is already queued up to max_batch, and submits
+//                      at once. Samples staged while the device is busy
+//                      form the next batch, so load fills batches and an
+//                      idle device serves a lone request without delay.
 //   Dispatch           A pluggable policy chooses the shard at stage time:
 //                      round-robin, least-loaded (outstanding bytes), or
 //                      capacity-weighted (outstanding work normalized by the
@@ -110,8 +112,7 @@ struct ServerOptions {
   /// Load-adaptive plan selection; default = static single-plan serving.
   AdaptiveOptions adaptive;
 
-  int max_batch = 16;  ///< dynamic batcher: flush at this size
-  double max_queue_delay_us = 2000.0;  ///< ... or this long after batch start
+  int max_batch = 16;  ///< dynamic batcher: largest batch it submits
   int admission_capacity = 256;  ///< bounded admission queue (backpressure)
   OverloadPolicy overload = OverloadPolicy::kBlock;
 

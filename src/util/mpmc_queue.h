@@ -8,7 +8,6 @@
 #ifndef SMOL_UTIL_MPMC_QUEUE_H_
 #define SMOL_UTIL_MPMC_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -66,24 +65,6 @@ class MpmcQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Blocks until an item is available, the queue is closed and drained, or
-  /// \p deadline passes; returns std::nullopt in the latter two cases. The
-  /// serving runtime's dynamic batcher uses this to wait out its
-  /// max-queue-delay window while staying responsive to Close().
-  template <typename Clock, typename Duration>
-  std::optional<T> PopUntil(
-      const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait_until(lock, deadline,
-                          [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // timed out, or closed + drained
     T item = std::move(items_.front());
     items_.pop();
     lock.unlock();

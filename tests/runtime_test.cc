@@ -81,9 +81,13 @@ TEST_F(EngineTest, DagToggleChangesCompiledPlan) {
   EXPECT_FALSE(has_fused);
 }
 
+// In-flight work is bounded (2 producers, 2-deep queues, two 4-sample
+// batches) far below the 32 items, so with reuse on, buffers must recycle.
 TEST_F(EngineTest, MemoryReuseToggleVisibleInStats) {
   EngineOptions on;
   on.batch_size = 4;
+  on.num_producers = 2;
+  on.queue_capacity = 2;
   Engine reuse_engine(on, spec_, DecodeSjpg, MakeAccel(1e5));
   ASSERT_OK_AND_ASSIGN(EngineStats with_reuse, reuse_engine.Run(items_));
   EngineOptions off = on;
