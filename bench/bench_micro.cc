@@ -48,6 +48,21 @@ void BM_SjpgDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SjpgDecode)->Arg(64)->Arg(128)->Arg(256);
 
+// Reduced-resolution decode of a 256 px image at 1/denom (the adaptive
+// ladder's cheaper rungs).
+void BM_SjpgDecodeScaled(benchmark::State& state) {
+  const Image img = BenchImage(256);
+  const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();
+  SjpgDecodeOptions opts;
+  opts.scale_denom = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto decoded = SjpgDecode(bytes, opts);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SjpgDecodeScaled)->Arg(2)->Arg(4);
+
 void BM_SjpgRoiDecode(benchmark::State& state) {
   const Image img = BenchImage(256);
   const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();

@@ -1,4 +1,6 @@
-// Bit-level serialization used by all three codecs.
+// Bit-level serialization used by all three codecs: BitWriter, the
+// Status-returning BitReader for headers and SPNG, and the BitCursor that the
+// block codecs' entropy decoders run on.
 #ifndef SMOL_CODEC_BITSTREAM_H_
 #define SMOL_CODEC_BITSTREAM_H_
 
@@ -81,17 +83,6 @@ class BitReader {
     return true;
   }
 
-  /// Reads a single bit; -1 on end of stream (hot path, no Status).
-  int ReadBit() {
-    if (byte_pos_ >= size_) return -1;
-    const int bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
-    if (++bit_pos_ == 8) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-    return bit;
-  }
-
   /// Skips to the next byte boundary.
   void AlignToByte() {
     if (bit_pos_ != 0) {
@@ -115,6 +106,83 @@ class BitReader {
   size_t size_;
   size_t byte_pos_ = 0;
   int bit_pos_ = 0;
+};
+
+/// \brief Register-resident MSB-first bit cursor for the entropy decoders'
+/// inner loops.
+///
+/// A 64-bit window holds the next bits of the stream, topped up by Refill()
+/// with one unaligned 8-byte load. Bits past the end of the data read as
+/// zero and no per-read status is kept: callers check Overrun() once per
+/// block (or other unit of work) and report truncation then. Copy the cursor
+/// into a local for a hot loop so the window stays in registers.
+class BitCursor {
+ public:
+  /// Starts reading at byte \p start (<= \p size) of \p data.
+  BitCursor(const uint8_t* data, size_t size, size_t start)
+      : data_(data), size_(size), pos_(start) {}
+
+  /// Tops the window up to at least 56 valid bits.
+  void Refill() {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    if (pos_ + 8 <= size_) {
+      // Bits already in the window below the new ones are the same stream
+      // bits, so OR-ing the whole load in is idempotent; pos_ advances by
+      // the whole bytes that fit.
+      uint64_t word;
+      std::memcpy(&word, data_ + pos_, 8);
+      window_ |= __builtin_bswap64(word) >> count_;
+      pos_ += static_cast<size_t>((63 - count_) >> 3);
+      count_ |= 56;
+      return;
+    }
+#endif
+    while (count_ < 56) {
+      const uint64_t byte = pos_ < size_ ? data_[pos_] : 0u;
+      window_ |= byte << (56 - count_);
+      ++pos_;
+      count_ += 8;
+    }
+  }
+
+  /// Refills only when fewer than \p nbits (<= 56) bits are left.
+  void Ensure(int nbits) {
+    if (count_ < nbits) Refill();
+  }
+
+  /// Next \p nbits (0..32) bits without consuming them. The window must
+  /// hold at least that many (a Refill() leaves 56).
+  uint32_t Peek(int nbits) const {
+    return static_cast<uint32_t>((window_ >> 32) >> (32 - nbits));
+  }
+
+  void Consume(int nbits) {
+    window_ <<= nbits;
+    count_ -= nbits;
+  }
+
+  /// Peek + Consume.
+  uint32_t Read(int nbits) {
+    const uint32_t v = Peek(nbits);
+    Consume(nbits);
+    return v;
+  }
+
+  /// Bits consumed from the start of the data.
+  size_t bit_position() const {
+    return pos_ * 8 - static_cast<size_t>(count_);
+  }
+
+  /// True once more bits were consumed than the data holds.
+  bool Overrun() const { return bit_position() > size_ * 8; }
+
+ private:
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_;           // next byte to load (may run past size_)
+  uint64_t window_ = 0;  // MSB-first; bits below count_ are zero or the
+                         // stream's next bits
+  int count_ = 0;        // valid bits at the top of window_
 };
 
 }  // namespace smol

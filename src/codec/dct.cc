@@ -1,6 +1,8 @@
 #include "src/codec/dct.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/simd.h"
 
@@ -63,38 +65,6 @@ SMOL_TARGET_AVX2 void ForwardDct8x8Avx2(const int16_t in[64], float out[64]) {
   }
 }
 
-SMOL_TARGET_AVX2 void InverseDct8x8Avx2(const float in[64], int16_t out[64]) {
-  alignas(32) float tmp[64];
-  for (int v = 0; v < 8; ++v) {
-    __m256 acc = _mm256_setzero_ps();
-    for (int u = 0; u < 8; ++u) {
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(in + v * 8 + u),
-                            _mm256_load_ps(kBasis.c[u]), acc);
-    }
-    _mm256_store_ps(tmp + v * 8, acc);
-  }
-  const __m256 hi = _mm256_set1_ps(255.0f);
-  const __m256 lo = _mm256_set1_ps(-256.0f);
-  for (int y = 0; y < 8; ++y) {
-    __m256 acc = _mm256_setzero_ps();
-    for (int v = 0; v < 8; ++v) {
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&kBasis.ct[y][v]),
-                            _mm256_load_ps(tmp + v * 8), acc);
-    }
-    acc = _mm256_max_ps(_mm256_min_ps(acc, hi), lo);
-    // Round half away from zero to match std::lround.
-    const __m256 half = _mm256_set1_ps(0.5f);
-    const __m256 sign_half =
-        _mm256_or_ps(_mm256_and_ps(acc, _mm256_set1_ps(-0.0f)), half);
-    const __m256i iv = _mm256_cvttps_epi32(_mm256_add_ps(acc, sign_half));
-    const __m256i i16 = _mm256_packs_epi32(iv, iv);
-    const __m256i ordered =
-        _mm256_permute4x64_epi64(i16, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + y * 8),
-                     _mm256_castsi256_si128(ordered));
-  }
-}
-
 #endif  // SMOL_SIMD_X86
 
 }  // namespace
@@ -128,37 +98,6 @@ void ForwardDct8x8(const int16_t in[64], float out[64]) {
   }
 }
 
-void InverseDct8x8(const float in[64], int16_t out[64]) {
-#if SMOL_SIMD_X86
-  if (simd::Avx2()) {
-    InverseDct8x8Avx2(in, out);
-    return;
-  }
-#endif
-  float tmp[64];
-  for (int v = 0; v < 8; ++v) {
-    for (int x = 0; x < 8; ++x) {
-      float acc = 0.0f;
-      for (int u = 0; u < 8; ++u) {
-        acc += kBasis.c[u][x] * in[v * 8 + u];
-      }
-      tmp[v * 8 + x] = acc;
-    }
-  }
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      float acc = 0.0f;
-      for (int v = 0; v < 8; ++v) {
-        acc += kBasis.c[v][y] * tmp[v * 8 + x];
-      }
-      float val = acc;
-      if (val > 255.0f) val = 255.0f;
-      if (val < -256.0f) val = -256.0f;
-      out[y * 8 + x] = static_cast<int16_t>(std::lround(val));
-    }
-  }
-}
-
 namespace {
 
 // Precomputed n-point inverse bases for the scaled decode path, folding in
@@ -185,17 +124,172 @@ struct ScaledDctBasis {
 };
 const ScaledDctBasis kScaledBasis;
 
+// The inverse transforms below read only the top-left rows x cols of their
+// input (the bounding box of its nonzero coefficients; 8 x 8 or n x n for
+// the unfused API). Every skipped term is a product with an exact zero, and
+// adding one leaves a sum unchanged up to the sign of a zero, which rounds
+// to the same integer, so the box never changes a result. Each kernel
+// writes either int16 level-shifted samples (InverseDct8x8 and
+// InverseDctScaled) or, for the decoder's fused store, the samples plus 128
+// saturated to bytes.
+
+// The scalar loops round with clamp + std::lround; the vector kernels with
+// clamp + add copysign(0.5) + truncate. The two differ on a few inputs just
+// below .5, so each level keeps its own rounding.
+inline int ClampLround(float v) {
+  if (v > 255.0f) v = 255.0f;
+  if (v < -256.0f) v = -256.0f;
+  // std::lround without the libm call: truncate, then step away from zero
+  // when the fraction (exact for |v| < 2^23) is at least one half. Checked
+  // equal to std::lround for every float in [-256, 255].
+  const int t = static_cast<int>(v);
+  const float frac = v - static_cast<float>(t);
+  return t + (frac >= 0.5f) - (frac <= -0.5f);
+}
+
+inline int ClampRoundHalfAway(float v) {
+  if (v > 255.0f) v = 255.0f;
+  if (v < -256.0f) v = -256.0f;
+  return static_cast<int>(v + std::copysign(0.5f, v));
+}
+
+inline void StoreSample(int v, int16_t* out) { *out = static_cast<int16_t>(v); }
+
+inline void StoreSample(int v, uint8_t* out) {
+  v += 128;
+  *out = static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+}
+
+// Separable scalar 8x8 inverse: rows then columns.
+template <typename T>
+void InverseDct8x8Scalar(const float in[64], int rows, int cols, T* out,
+                         size_t stride) {
+  float tmp[64];
+  for (int v = 0; v < rows; ++v) {
+    for (int x = 0; x < 8; ++x) {
+      float acc = 0.0f;
+      for (int u = 0; u < cols; ++u) {
+        acc += kBasis.c[u][x] * in[v * 8 + u];
+      }
+      tmp[v * 8 + x] = acc;
+    }
+  }
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      float acc = 0.0f;
+      for (int v = 0; v < rows; ++v) {
+        acc += kBasis.c[v][y] * tmp[v * 8 + x];
+      }
+      StoreSample(ClampLround(acc), out + y * stride + x);
+    }
+  }
+}
+
+// The top-left n x n of an 8x8 DCT, rescaled by n/8, is the n x n DCT of
+// the box-downsampled block; invert it with the n-point orthonormal basis,
+// separably (rows then columns, 2n^3 multiply-adds total).
+template <typename T>
+void InverseDctScaledScalar(const float in[64], int n, int rows, int cols,
+                            T* out, size_t stride) {
+  const float* basis = kScaledBasis.b[n];
+  const float scale_fix = static_cast<float>(n) / 8.0f;
+  float tmp[64];
+  for (int v = 0; v < rows; ++v) {
+    for (int x = 0; x < n; ++x) {
+      float acc = 0.0f;
+      for (int u = 0; u < cols; ++u) {
+        acc += basis[u * n + x] * in[v * 8 + u];
+      }
+      tmp[v * n + x] = acc;
+    }
+  }
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      float acc = 0.0f;
+      for (int v = 0; v < rows; ++v) {
+        acc += basis[v * n + y] * tmp[v * n + x];
+      }
+      StoreSample(ClampLround(acc * scale_fix), out + y * stride + x);
+    }
+  }
+}
+
 #if SMOL_SIMD_X86
 
-// 4-point scaled inverse (the denom-2 rung's workhorse) in baseline SSE2:
-// both passes are broadcast-multiply-accumulates over 4-wide basis rows,
-// with the same clamp + round-half-away-from-zero tail as the 8x8 path.
-void InverseDctScaled4x4Sse2(const float in[64], const float* basis,
-                             int16_t* out) {
+// Stores 8 rounded samples (int32 lanes, within [-256, 255]).
+SMOL_TARGET_AVX2 inline void StoreRowAvx2(__m256i iv, int16_t* out) {
+  const __m256i i16 = _mm256_packs_epi32(iv, iv);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_unpacklo_epi64(_mm256_castsi256_si128(i16),
+                                      _mm256_extracti128_si256(i16, 1)));
+}
+
+SMOL_TARGET_AVX2 inline void StoreRowAvx2(__m256i iv, uint8_t* out) {
+  const __m256i shifted = _mm256_add_epi32(iv, _mm256_set1_epi32(128));
+  const __m256i i16 = _mm256_packs_epi32(shifted, shifted);
+  const __m128i row = _mm_unpacklo_epi64(_mm256_castsi256_si128(i16),
+                                         _mm256_extracti128_si256(i16, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                   _mm_packus_epi16(row, row));
+}
+
+// Each 8-float row is one ymm; both passes are broadcast-FMAs per output
+// row (OUT = C^T * (IN * C) expressed row-wise).
+template <typename T>
+SMOL_TARGET_AVX2 void InverseDct8x8Avx2(const float in[64], int rows,
+                                        int cols, T* out, size_t stride) {
+  __m256 tmp[8];
+  for (int v = 0; v < rows; ++v) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int u = 0; u < cols; ++u) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(in + v * 8 + u),
+                            _mm256_load_ps(kBasis.c[u]), acc);
+    }
+    tmp[v] = acc;
+  }
+  const __m256 hi = _mm256_set1_ps(255.0f);
+  const __m256 lo = _mm256_set1_ps(-256.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+  for (int y = 0; y < 8; ++y) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int v = 0; v < rows; ++v) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&kBasis.ct[y][v]), tmp[v],
+                            acc);
+    }
+    acc = _mm256_max_ps(_mm256_min_ps(acc, hi), lo);
+    // Round half away from zero to match std::lround.
+    const __m256 sign_half =
+        _mm256_or_ps(_mm256_and_ps(acc, sign_mask), half);
+    StoreRowAvx2(_mm256_cvttps_epi32(_mm256_add_ps(acc, sign_half)),
+                 out + y * stride);
+  }
+}
+
+// Stores 4 rounded samples (int32 lanes, within [-256, 255]).
+inline void StoreRowSse2(__m128i iv, int16_t* out) {
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out), _mm_packs_epi32(iv, iv));
+}
+
+inline void StoreRowSse2(__m128i iv, uint8_t* out) {
+  const __m128i shifted = _mm_add_epi32(iv, _mm_set1_epi32(128));
+  const __m128i i16 = _mm_packs_epi32(shifted, shifted);
+  const int32_t bytes = _mm_cvtsi128_si32(_mm_packus_epi16(i16, i16));
+  std::memcpy(out, &bytes, 4);
+}
+
+// 4-point scaled inverse (the denom-2 rung's workhorse) in baseline SSE2,
+// used at every dispatch level: both passes are broadcast-multiply-
+// accumulates over 4-wide basis rows, with the same clamp + round-half-
+// away-from-zero tail as the 8x8 path.
+template <typename T>
+void InverseDctScaled4x4Sse2(const float in[64], int rows, int cols, T* out,
+                             size_t stride) {
+  const float* basis = kScaledBasis.b[4];
   __m128 tmp[4];
-  for (int v = 0; v < 4; ++v) {
+  for (int v = 0; v < rows; ++v) {
     __m128 acc = _mm_setzero_ps();
-    for (int u = 0; u < 4; ++u) {
+    for (int u = 0; u < cols; ++u) {
       acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(in[v * 8 + u]),
                                        _mm_loadu_ps(basis + u * 4)));
     }
@@ -208,54 +302,80 @@ void InverseDctScaled4x4Sse2(const float in[64], const float* basis,
   const __m128 sign_mask = _mm_set1_ps(-0.0f);
   for (int y = 0; y < 4; ++y) {
     __m128 acc = _mm_setzero_ps();
-    for (int v = 0; v < 4; ++v) {
+    for (int v = 0; v < rows; ++v) {
       acc = _mm_add_ps(acc,
                        _mm_mul_ps(_mm_set1_ps(basis[v * 4 + y]), tmp[v]));
     }
     acc = _mm_max_ps(_mm_min_ps(_mm_mul_ps(acc, scale), hi), lo);
     const __m128 sign_half = _mm_or_ps(_mm_and_ps(acc, sign_mask), half);
-    const __m128i iv = _mm_cvttps_epi32(_mm_add_ps(acc, sign_half));
-    const __m128i i16 = _mm_packs_epi32(iv, iv);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + y * 4), i16);
+    StoreRowSse2(_mm_cvttps_epi32(_mm_add_ps(acc, sign_half)),
+                 out + y * stride);
   }
 }
 
 #endif  // SMOL_SIMD_X86
 
-}  // namespace
-
-void InverseDctScaled(const float in[64], int n, int16_t* out) {
-  // The top-left n x n of an 8x8 DCT, rescaled by n/8, is the n x n DCT of
-  // the box-downsampled block; invert it with the n-point orthonormal basis,
-  // separably (rows then columns, 2n^3 multiply-adds total).
-  const float* basis = kScaledBasis.b[n];
+// Dispatches one inverse transform over the rows x cols box.
+template <typename T>
+void InverseDctBox(const float in[64], int n, int rows, int cols, T* out,
+                   size_t stride) {
 #if SMOL_SIMD_X86
+  if (n == 8 && simd::Avx2()) {
+    InverseDct8x8Avx2(in, rows, cols, out, stride);
+    return;
+  }
   if (n == 4) {
-    InverseDctScaled4x4Sse2(in, basis, out);
+    InverseDctScaled4x4Sse2(in, rows, cols, out, stride);
     return;
   }
 #endif
-  const float scale_fix = static_cast<float>(n) / 8.0f;
-  float tmp[64];
-  for (int v = 0; v < n; ++v) {
-    for (int x = 0; x < n; ++x) {
-      float acc = 0.0f;
-      for (int u = 0; u < n; ++u) {
-        acc += basis[u * n + x] * in[v * 8 + u];
-      }
-      tmp[v * n + x] = acc;
-    }
+  if (n == 8) {
+    InverseDct8x8Scalar(in, rows, cols, out, stride);
+  } else {
+    InverseDctScaledScalar(in, n, rows, cols, out, stride);
   }
+}
+
+}  // namespace
+
+void InverseDct8x8(const float in[64], int16_t out[64]) {
+  InverseDctBox(in, 8, 8, 8, out, 8);
+}
+
+void InverseDctScaled(const float in[64], int n, int16_t* out) {
+  InverseDctBox(in, n, n, n, out, static_cast<size_t>(n));
+}
+
+void InverseDctStore(const float in[64], int n, int rows, int cols,
+                     uint8_t* dst, size_t stride) {
+  rows = std::min(rows, n);
+  cols = std::min(cols, n);
+  if (rows > 1 || cols > 1) {
+    InverseDctBox(in, n, rows, cols, dst, stride);
+    return;
+  }
+  // DC only: every sample is the same two products of the DC term (a
+  // zero-initialized sum plus one product is that product), rounded as
+  // the kernel for this n at this level rounds.
+  const float b = n == 8 ? kBasis.c[0][0] : kScaledBasis.b[n][0];
+  float acc = b * (in[0] * b);
+  if (n != 8) acc *= static_cast<float>(n) / 8.0f;
+#if SMOL_SIMD_X86
+  const bool vector_rounding = (n == 8 && simd::Avx2()) || n == 4;
+#else
+  const bool vector_rounding = false;
+#endif
+  uint8_t value;
+  StoreSample(vector_rounding ? ClampRoundHalfAway(acc) : ClampLround(acc),
+              &value);
+  const uint64_t fill = value * 0x0101010101010101ULL;
   for (int y = 0; y < n; ++y) {
-    for (int x = 0; x < n; ++x) {
-      float acc = 0.0f;
-      for (int v = 0; v < n; ++v) {
-        acc += basis[v * n + y] * tmp[v * n + x];
-      }
-      float val = acc * scale_fix;
-      if (val > 255.0f) val = 255.0f;
-      if (val < -256.0f) val = -256.0f;
-      out[y * n + x] = static_cast<int16_t>(std::lround(val));
+    uint8_t* row = dst + y * stride;
+    switch (n) {
+      case 8: std::memcpy(row, &fill, 8); break;
+      case 4: std::memcpy(row, &fill, 4); break;
+      case 2: std::memcpy(row, &fill, 2); break;
+      default: row[0] = value; break;
     }
   }
 }

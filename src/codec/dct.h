@@ -3,6 +3,7 @@
 #define SMOL_CODEC_DCT_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace smol {
@@ -25,6 +26,18 @@ void InverseDct8x8(const float in[64], int16_t out[64]);
 /// \p in is the full 64-coefficient block in natural order; \p out receives
 /// n*n level-shifted samples.
 void InverseDctScaled(const float in[64], int n, int16_t* out);
+
+/// Decoder-side fused inverse transform + store: the samples InverseDct8x8
+/// (n == 8) or InverseDctScaled (n in {1, 2, 4}) produce, level-shifted by
+/// +128 and saturated to [0, 255], written as n rows of n bytes at \p dst
+/// (row stride \p stride). Only the top-left \p rows x \p cols
+/// coefficients of \p in are read; the rest must be zero (pass the bounding
+/// box of the nonzero coefficients, or 8 x 8). Dropping all-zero terms from
+/// the transform's sums is exact, so the bytes are bit-identical to the
+/// unfused transform plus a clip at every dispatch level; a DC-only block
+/// (1 x 1) is one value filled across the output.
+void InverseDctStore(const float in[64], int n, int rows, int cols,
+                     uint8_t* dst, size_t stride);
 
 /// \brief Quantization matrix with JPEG-style quality scaling.
 struct QuantTable {

@@ -248,20 +248,30 @@ Result<int> HuffmanTable::DecodeSymbol(BitReader* reader) const {
     }
     return static_cast<int>(entry >> 8);
   }
-  // Canonical decode: extend the code one bit at a time; at each length,
-  // check whether it falls within [first_code, first_code + count).
-  int32_t code = 0;
-  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
-    const int bit = reader->ReadBit();
-    if (bit < 0) return Status::Corruption("bitstream truncated in Huffman");
-    code = (code << 1) | bit;
+  // Longer codes: the canonical scan over the next kMaxHuffmanBits bits.
+  int length = 0;
+  const int symbol = DecodeLong(reader->PeekBits(kMaxHuffmanBits), &length);
+  if (symbol < 0) return Status::Corruption("invalid Huffman prefix");
+  if (!reader->SkipBits(length)) {
+    return Status::Corruption("bitstream truncated in Huffman");
+  }
+  return symbol;
+}
+
+int HuffmanTable::DecodeLong(uint32_t lookahead, int* length) const {
+  // Canonical decode: at each length, check whether the code's first bits
+  // fall within [first_code, first_code + count). Lengths that fit the LUT
+  // cannot match here (the probe would have hit).
+  for (int len = kHuffmanLutBits + 1; len <= kMaxHuffmanBits; ++len) {
+    const int32_t code =
+        static_cast<int32_t>(lookahead >> (kMaxHuffmanBits - len));
     if (first_code_[len] >= 0 && code >= first_code_[len] &&
         code < first_code_[len] + count_[len]) {
-      return static_cast<int>(
-          sorted_symbols_[first_index_[len] + (code - first_code_[len])]);
+      *length = len;
+      return sorted_symbols_[first_index_[len] + (code - first_code_[len])];
     }
   }
-  return Status::Corruption("invalid Huffman prefix");
+  return -1;
 }
 
 }  // namespace smol

@@ -43,6 +43,16 @@ class HuffmanTable {
   /// Reads one symbol; Corruption on invalid prefix or truncation.
   Result<int> DecodeSymbol(BitReader* reader) const;
 
+  /// Decode-LUT probe for the next kHuffmanLutBits bits of a stream:
+  /// (symbol << 8 | length) when a code of at most kHuffmanLutBits bits
+  /// prefixes them, 0 otherwise (a longer code or an invalid prefix).
+  uint32_t LutEntry(uint32_t lookahead) const { return lut_[lookahead]; }
+
+  /// Resolves a code longer than kHuffmanLutBits from the next
+  /// kMaxHuffmanBits bits of a stream (zero-padded past its end): the
+  /// symbol, with its code length in \p length, or -1 for an invalid prefix.
+  int DecodeLong(uint32_t lookahead, int* length) const;
+
   /// Code length for \p symbol (0 if absent).
   int CodeLength(int symbol) const {
     return symbol >= 0 && symbol < static_cast<int>(lengths_.size())

@@ -17,39 +17,6 @@ namespace {
 
 constexpr uint32_t kMagic = 0x3150'4A53;  // "SJP1" little-endian.
 
-// Stores a reconstructed n x n block back into a plane (clipping to bounds),
-// undoing the level shift. n == 8 for full decode, smaller for scaled decode.
-void StoreBlockN(const int16_t* block, int n, std::vector<uint8_t>& plane,
-                 int plane_w, int plane_h, int bx, int by) {
-  for (int y = 0; y < n; ++y) {
-    const int sy = by + y;
-    if (sy >= plane_h) break;
-    for (int x = 0; x < n; ++x) {
-      const int sx = bx + x;
-      if (sx >= plane_w) break;
-      int v = block[y * n + x] + 128;
-      if (v < 0) v = 0;
-      if (v > 255) v = 255;
-      plane[static_cast<size_t>(sy) * plane_w + sx] = static_cast<uint8_t>(v);
-    }
-  }
-}
-
-void StoreBlock(const int16_t block[64], std::vector<uint8_t>& plane,
-                int plane_w, int plane_h, int bx, int by) {
-  StoreBlockN(block, 8, plane, plane_w, plane_h, bx, by);
-}
-
-// Dequantizes and applies the scaled inverse transform (n x n output).
-void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
-                            int n, int16_t* out) {
-  int16_t natural[64];
-  for (int i = 0; i < 64; ++i) natural[kZigZag[i]] = block.zz[i];
-  float dct[64];
-  Dequantize(natural, qt, dct);
-  InverseDctScaled(dct, n, out);
-}
-
 struct PlaneSet {
   std::vector<uint8_t> y, cb, cr;
   int w = 0, h = 0, cw = 0, ch = 0;
@@ -204,7 +171,7 @@ struct ParsedStream {
   SjpgHeader header;
   QuantTable luma_qt;
   QuantTable chroma_qt;
-  HuffmanTable dc_luma, ac_luma, dc_chroma, ac_chroma;
+  BlockDecoder luma, chroma;          // entropy decoders, LUTs built once
   std::vector<uint32_t> row_offsets;  // mcu_rows + 1 entries
   size_t entropy_base = 0;            // byte offset of entropy data
 };
@@ -242,11 +209,14 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
       ps.chroma_qt.q[i] = q;
     }
   }
-  SMOL_ASSIGN_OR_RETURN(ps.dc_luma, HuffmanTable::Deserialize(&reader));
-  SMOL_ASSIGN_OR_RETURN(ps.ac_luma, HuffmanTable::Deserialize(&reader));
+  SMOL_ASSIGN_OR_RETURN(HuffmanTable dc_luma,
+                        HuffmanTable::Deserialize(&reader));
+  SMOL_ASSIGN_OR_RETURN(HuffmanTable ac_luma,
+                        HuffmanTable::Deserialize(&reader));
+  HuffmanTable dc_chroma, ac_chroma;
   if (color) {
-    SMOL_ASSIGN_OR_RETURN(ps.dc_chroma, HuffmanTable::Deserialize(&reader));
-    SMOL_ASSIGN_OR_RETURN(ps.ac_chroma, HuffmanTable::Deserialize(&reader));
+    SMOL_ASSIGN_OR_RETURN(dc_chroma, HuffmanTable::Deserialize(&reader));
+    SMOL_ASSIGN_OR_RETURN(ac_chroma, HuffmanTable::Deserialize(&reader));
   }
   SMOL_ASSIGN_OR_RETURN(uint16_t mcu_rows, reader.ReadU16());
   if (mcu_rows != ps.header.mcu_rows) {
@@ -260,6 +230,19 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
   if (ps.entropy_base + ps.row_offsets[mcu_rows] > bytes.size()) {
     return Status::Corruption("entropy data truncated");
   }
+  // Every block costs at least one entropy bit, so a header declaring more
+  // blocks than the stream has bits is corrupt; rejecting it here keeps a
+  // few-byte stream from sizing a multi-gigabyte decode.
+  const uint64_t blocks = static_cast<uint64_t>(ps.header.mcu_rows) *
+                          static_cast<uint64_t>(ps.header.mcu_cols) *
+                          (color ? 6u : 1u);
+  if (8 * static_cast<uint64_t>(bytes.size() - ps.entropy_base) < blocks) {
+    return Status::Corruption("header declares more blocks than entropy bits");
+  }
+  ps.luma = BlockDecoder(std::move(dc_luma), std::move(ac_luma));
+  if (color) {
+    ps.chroma = BlockDecoder(std::move(dc_chroma), std::move(ac_chroma));
+  }
   return ps;
 }
 
@@ -272,72 +255,69 @@ Result<SjpgHeader> SjpgPeekHeader(const std::vector<uint8_t>& bytes) {
 
 namespace {
 
-// Multi-resolution decode path: full entropy decode, scaled inverse
-// transforms (n = 8 / scale_denom per block side), output at 1/denom size.
-// Emits into *out, reusing its storage.
-Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
-                    int denom, Image* out, SjpgDecodeStats* stats) {
+// Decodes MCU rows [mr0, mr1) and columns [mc0, mc1) at n x n samples per
+// 8x8 block (n = 8 / scale_denom) into \p planes, which cover exactly that
+// band of whole MCUs, so every block is stored whole. Each row starts at its
+// index offset with its own bit cursor; entropy decoding runs left to right
+// and stops after column mc1 - 1 (raster early stop), and blocks left of
+// mc0 are entropy-decoded (the DC predictor chains through them) but not
+// transformed.
+Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
+                  int mr0, int mr1, int mc0, int mc1, int n,
+                  PlaneSet* planes, SjpgDecodeStats* stats) {
   const SjpgHeader& hdr = ps.header;
   const bool color = hdr.channels == 3;
-  const int n = 8 / denom;  // scaled block side
-  const int out_w = (hdr.width + denom - 1) / denom;
-  const int out_h = (hdr.height + denom - 1) / denom;
-
-  PlaneSet planes;
-  planes.w = ps.header.mcu_cols * (color ? 2 * n : n);
-  planes.h = ps.header.mcu_rows * (color ? 2 * n : n);
-  planes.y.assign(static_cast<size_t>(planes.w) * planes.h, 0);
-  if (color) {
-    planes.cw = planes.w / 2;
-    planes.ch = planes.h / 2;
-    planes.cb.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
-    planes.cr.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
-  }
   const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
   const int blocks_per_mcu = color ? 6 : 1;
-
-  BitReader reader(bytes.data(), bytes.size());
-  SMOL_RETURN_IF_ERROR(reader.SeekToByte(ps.entropy_base));
-  std::vector<int16_t> scaled(static_cast<size_t>(n) * n);
-  for (int mr = 0; mr < hdr.mcu_rows; ++mr) {
-    SMOL_RETURN_IF_ERROR(
-        reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
+  const int mcu_n = hdr.mcu_size * n / 8;  // MCU side in output samples
+  uint8_t* const component_base[3] = {planes->y.data(), planes->cb.data(),
+                                      planes->cr.data()};
+  const size_t component_stride[3] = {static_cast<size_t>(planes->w),
+                                      static_cast<size_t>(planes->cw),
+                                      static_cast<size_t>(planes->cw)};
+  for (int mr = mr0; mr < mr1; ++mr) {
+    // Seek via the row index: rows outside the band cost nothing.
+    const size_t start = ps.entropy_base + ps.row_offsets[mr];
+    if (start > bytes.size()) {
+      return Status::OutOfRange("seek past end of stream");
+    }
+    BitCursor cursor(bytes.data(), bytes.size(), start);
     int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < hdr.mcu_cols; ++mc) {
+    for (int mc = 0; mc < mc1; ++mc) {
+      const bool in_band = mc >= mc0;
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
-        CoeffBlock cb;
-        if (ref.component == 0) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, ps.dc_luma, ps.ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, ps.dc_chroma, ps.ac_chroma,
-                                           &dc_pred[ref.component], &cb));
-        }
-        if (stats != nullptr) {
-          stats->entropy_blocks++;
-          stats->idct_blocks++;  // counted, but each costs ~n^2/64 of full
-        }
-        if (ref.component == 0) {
-          ReconstructBlockScaled(cb, ps.luma_qt, n, scaled.data());
-          StoreBlockN(scaled.data(), n, planes.y, planes.w, planes.h,
-                      mc * (color ? 2 * n : n) + ref.dx / denom,
-                      mr * (color ? 2 * n : n) + ref.dy / denom);
-        } else {
-          ReconstructBlockScaled(cb, ps.chroma_qt, n, scaled.data());
-          auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlockN(scaled.data(), n, plane, planes.cw, planes.ch, mc * n,
-                      mr * n);
-        }
+        const int comp = ref.component;
+        int16_t coeffs[64] = {};
+        const int count = (comp == 0 ? ps.luma : ps.chroma)
+                              .Decode(&cursor, &dc_pred[comp], coeffs);
+        if (count == 0) return Status::Corruption("invalid entropy code");
+        if (cursor.Overrun()) return Status::Corruption("bitstream truncated");
+        if (stats != nullptr) stats->entropy_blocks++;
+        if (!in_band) continue;  // skip the inverse transform outside the ROI
+        if (stats != nullptr) stats->idct_blocks++;
+        // Chroma blocks span the whole (subsampled) MCU.
+        const int x = (mc - mc0) * (comp == 0 ? mcu_n : n) + ref.dx * n / 8;
+        const int y = (mr - mr0) * (comp == 0 ? mcu_n : n) + ref.dy * n / 8;
+        const size_t stride = component_stride[comp];
+        ReconstructStoreBlock(coeffs, count,
+                              comp == 0 ? ps.luma_qt : ps.chroma_qt, n,
+                              component_base[comp] + y * stride + x, stride);
       }
     }
     if (stats != nullptr) stats->mcu_rows_decoded++;
   }
+  return Status::OK();
+}
 
-  // When the MCU grid already matches the output size, emit straight into
-  // *out — no full-grid intermediate, no crop copy.
-  const bool exact = planes.w == out_w && planes.h == out_h;
-  if (color) {
+// Converts decoded planes to the output image and crops them to \p roi.
+// When the planes are exactly the ROI (aligned ROI, or dimensions that are a
+// multiple of the MCU size), converts straight into *out with no band
+// intermediate or crop copy.
+Status EmitPlanes(PlaneSet planes, int channels, const Roi& roi, Image* out) {
+  const bool exact = roi.x == 0 && roi.y == 0 && roi.width == planes.w &&
+                     roi.height == planes.h;
+  if (channels == 3) {
     Ycbcr420 ycc;
     ycc.width = planes.w;
     ycc.height = planes.h;
@@ -348,18 +328,18 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
       Ycbcr420ToRgbInto(ycc, out);
       return Status::OK();
     }
-    Image full_grid;
-    Ycbcr420ToRgbInto(ycc, &full_grid);
-    return CropImageInto(full_grid, Roi{0, 0, out_w, out_h}, out);
+    Image band;
+    Ycbcr420ToRgbInto(ycc, &band);
+    return CropImageInto(band, roi, out);
   }
   if (exact) {
     out->Reshape(planes.w, planes.h, 1);
     std::memcpy(out->data(), planes.y.data(), planes.y.size());
     return Status::OK();
   }
-  Image full_grid(planes.w, planes.h, 1);
-  std::memcpy(full_grid.data(), planes.y.data(), planes.y.size());
-  return CropImageInto(full_grid, Roi{0, 0, out_w, out_h}, out);
+  Image band(planes.w, planes.h, 1);
+  std::memcpy(band.data(), planes.y.data(), planes.y.size());
+  return CropImageInto(band, roi, out);
 }
 
 }  // namespace
@@ -380,123 +360,58 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
   const SjpgHeader& hdr = ps.header;
   const bool color = hdr.channels == 3;
   const int mcu = hdr.mcu_size;
+  const int denom = options.scale_denom;
 
-  if (options.scale_denom != 1) {
-    if (options.scale_denom != 2 && options.scale_denom != 4 &&
-        options.scale_denom != 8) {
+  // The band of MCU rows/cols to decode, and the output region within it
+  // (in output samples).
+  int mr0 = 0, mr1 = hdr.mcu_rows, mc0 = 0, mc1 = hdr.mcu_cols;
+  Roi out_roi;
+  if (denom != 1) {
+    // Multi-resolution decode: the whole grid at 1/denom size.
+    if (denom != 2 && denom != 4 && denom != 8) {
       return Status::InvalidArgument("scale_denom must be 1, 2, 4 or 8");
     }
     if (!options.roi.empty() || options.max_rows > 0) {
       return Status::InvalidArgument(
           "scaled decoding cannot be combined with ROI/early stop");
     }
-    return DecodeScaled(ps, bytes, options.scale_denom, out, stats);
-  }
-
-  // Determine the band of MCU rows/cols to decode.
-  Roi roi = options.roi;
-  if (!roi.empty()) {
-    if (roi.x < 0 || roi.y < 0 || roi.x + roi.width > hdr.width ||
-        roi.y + roi.height > hdr.height) {
-      return Status::OutOfRange("ROI exceeds image bounds");
-    }
-  } else if (options.max_rows > 0) {
-    roi = Roi{0, 0, hdr.width, std::min(options.max_rows, hdr.height)};
+    out_roi = Roi{0, 0, (hdr.width + denom - 1) / denom,
+                  (hdr.height + denom - 1) / denom};
   } else {
-    roi = Roi{0, 0, hdr.width, hdr.height};
+    Roi roi = options.roi;
+    if (!roi.empty()) {
+      if (roi.x < 0 || roi.y < 0 || roi.x + roi.width > hdr.width ||
+          roi.y + roi.height > hdr.height) {
+        return Status::OutOfRange("ROI exceeds image bounds");
+      }
+    } else if (options.max_rows > 0) {
+      roi = Roi{0, 0, hdr.width, std::min(options.max_rows, hdr.height)};
+    } else {
+      roi = Roi{0, 0, hdr.width, hdr.height};
+    }
+    mr0 = roi.y / mcu;
+    mr1 = (roi.y + roi.height + mcu - 1) / mcu;
+    mc0 = roi.x / mcu;
+    mc1 = (roi.x + roi.width + mcu - 1) / mcu;
+    out_roi = Roi{roi.x - mc0 * mcu, roi.y - mr0 * mcu, roi.width, roi.height};
   }
-  const int mr0 = roi.y / mcu;
-  const int mr1 = (roi.y + roi.height + mcu - 1) / mcu;
-  const int mc0 = roi.x / mcu;
-  const int mc1 = (roi.x + roi.width + mcu - 1) / mcu;
 
-  // Decode into a band-sized plane set (full MCU coverage of the ROI).
-  const int band_w = (mc1 - mc0) * mcu;
-  const int band_h = (mr1 - mr0) * mcu;
+  // Planes covering the band's whole MCUs.
+  const int n = 8 / denom;
+  const int mcu_n = mcu / denom;
   PlaneSet planes;
-  planes.w = band_w;
-  planes.h = band_h;
-  planes.y.assign(static_cast<size_t>(band_w) * band_h, 0);
+  planes.w = (mc1 - mc0) * mcu_n;
+  planes.h = (mr1 - mr0) * mcu_n;
+  planes.y.assign(static_cast<size_t>(planes.w) * planes.h, 0);
   if (color) {
-    planes.cw = band_w / 2;
-    planes.ch = band_h / 2;
+    planes.cw = planes.w / 2;
+    planes.ch = planes.h / 2;
     planes.cb.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
     planes.cr.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
   }
-
-  const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
-  const int blocks_per_mcu = color ? 6 : 1;
-
-  BitReader reader(bytes.data(), bytes.size());
-  for (int mr = mr0; mr < mr1; ++mr) {
-    // Seek via the row index: rows outside the band cost nothing.
-    SMOL_RETURN_IF_ERROR(
-        reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
-    int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < hdr.mcu_cols; ++mc) {
-      if (mc >= mc1) break;  // raster early stop within the row
-      const bool in_roi = mc >= mc0;
-      for (int b = 0; b < blocks_per_mcu; ++b) {
-        const BlockRef& ref = blocks[b];
-        CoeffBlock cb;
-        if (ref.component == 0) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, ps.dc_luma, ps.ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, ps.dc_chroma, ps.ac_chroma,
-                                           &dc_pred[ref.component], &cb));
-        }
-        if (stats != nullptr) stats->entropy_blocks++;
-        if (!in_roi) continue;  // skip the inverse transform outside the ROI
-        if (stats != nullptr) stats->idct_blocks++;
-        int16_t samples[64];
-        if (ref.component == 0) {
-          ReconstructBlock(cb, ps.luma_qt, samples);
-          StoreBlock(samples, planes.y, planes.w, planes.h,
-                     (mc - mc0) * mcu + ref.dx, (mr - mr0) * mcu + ref.dy);
-        } else {
-          ReconstructBlock(cb, ps.chroma_qt, samples);
-          auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlock(samples, plane, planes.cw, planes.ch, (mc - mc0) * 8,
-                     (mr - mr0) * 8);
-        }
-      }
-    }
-    if (stats != nullptr) stats->mcu_rows_decoded++;
-  }
-
-  // Colorspace conversion for the decoded band, then exact crop to the ROI.
-  // When the ROI's MCU coverage is exact (aligned ROI or dimensions that are
-  // a multiple of the MCU size), the band IS the output: convert straight
-  // into *out instead of materializing the band and copying it (the seed's
-  // CropImage here was a full-image copy for every aligned decode).
-  const Roi band_roi{roi.x - mc0 * mcu, roi.y - mr0 * mcu, roi.width,
-                     roi.height};
-  const bool exact = band_roi.x == 0 && band_roi.y == 0 &&
-                     band_roi.width == band_w && band_roi.height == band_h;
-  if (color) {
-    Ycbcr420 ycc;
-    ycc.width = band_w;
-    ycc.height = band_h;
-    ycc.y = std::move(planes.y);
-    ycc.cb = std::move(planes.cb);
-    ycc.cr = std::move(planes.cr);
-    if (exact) {
-      Ycbcr420ToRgbInto(ycc, out);
-      return Status::OK();
-    }
-    Image band;
-    Ycbcr420ToRgbInto(ycc, &band);
-    return CropImageInto(band, band_roi, out);
-  }
-  if (exact) {
-    out->Reshape(band_w, band_h, 1);
-    std::memcpy(out->data(), planes.y.data(), planes.y.size());
-    return Status::OK();
-  }
-  Image band(band_w, band_h, 1);
-  std::memcpy(band.data(), planes.y.data(), planes.y.size());
-  return CropImageInto(band, band_roi, out);
+  SMOL_RETURN_IF_ERROR(
+      DecodeBand(ps, bytes, mr0, mr1, mc0, mc1, n, &planes, stats));
+  return EmitPlanes(std::move(planes), hdr.channels, out_roi, out);
 }
 
 }  // namespace smol

@@ -11,6 +11,11 @@
 //  * Decode stats expose how many blocks were entropy-decoded vs. inverse-
 //    transformed, so tests/benches can verify partial decoding saves work.
 //
+// Decoding runs one BitCursor per MCU row through the shared BlockDecoder
+// (src/codec/block_codec.h) and reconstructs each block straight into its
+// plane with the fused dequantize + IDCT + store, at full resolution or at
+// the scaled rungs alike.
+//
 // ROI decoding follows the paper exactly: rows outside the ROI band are
 // skipped via the index; within a row, entropy decoding proceeds left-to-
 // right and stops after the last ROI column (raster early stop); the inverse
@@ -49,21 +54,23 @@ struct SjpgDecodeOptions {
   /// The returned image has exactly the ROI's dimensions.
   Roi roi;
   /// Decode only the first \p max_rows pixel rows (early stopping). 0 => all.
-  /// Ignored when an ROI is given. The returned image has height
-  /// min(max_rows, height) rounded up to MCU coverage then cropped.
+  /// Ignored when an ROI is given. Only the MCU rows covering them are
+  /// decoded; the returned image is exactly min(max_rows, height) rows.
   int max_rows = 0;
   /// Multi-resolution (scaled) decoding: decode at 1/scale_denom resolution
   /// using only the top-left coefficients of each block (libjpeg's
   /// scale_num/scale_denom trick; §6.4's multi-resolution decoding).
-  /// Allowed values: 1 (full), 2, 4, 8 (DC-only). Cannot be combined with
-  /// an ROI or max_rows.
+  /// Allowed values: 1 (full), 2, 4, 8 (DC-only); the returned image is
+  /// ceil(width / denom) x ceil(height / denom). Cannot be combined with an
+  /// ROI or max_rows (InvalidArgument).
   int scale_denom = 1;
 };
 
 /// Work counters for verifying partial-decode savings.
 struct SjpgDecodeStats {
   int64_t entropy_blocks = 0;  ///< 8x8 blocks entropy-decoded.
-  int64_t idct_blocks = 0;     ///< 8x8 blocks inverse-transformed.
+  int64_t idct_blocks = 0;     ///< Blocks inverse-transformed (at n x n
+                               ///< when scaled).
   int64_t mcu_rows_decoded = 0;
 };
 
@@ -71,10 +78,16 @@ struct SjpgDecodeStats {
 Result<std::vector<uint8_t>> SjpgEncode(const Image& image,
                                         const SjpgEncodeOptions& options = {});
 
-/// Parses only the header of an SJPG stream.
+/// Parses only the header of an SJPG stream (with the same header checks
+/// as decoding).
 Result<SjpgHeader> SjpgPeekHeader(const std::vector<uint8_t>& bytes);
 
 /// Decodes an SJPG stream (optionally a partial region; see options).
+/// Fails with Corruption for a malformed or truncated stream (including a
+/// header that declares more blocks than its entropy data has bits, which is
+/// rejected before any plane is allocated), OutOfRange for an ROI outside
+/// the image or a row index past the end of the stream, and InvalidArgument
+/// for bad options.
 Result<Image> SjpgDecode(const std::vector<uint8_t>& bytes,
                          const SjpgDecodeOptions& options = {},
                          SjpgDecodeStats* stats = nullptr);

@@ -229,12 +229,12 @@ void WriteMvComponent(BitWriter* writer, int v) {
   if (size > 0) writer->WriteBits(EncodeValueBits(v, size), size);
 }
 
-Result<int> ReadMvComponent(BitReader* reader) {
-  SMOL_ASSIGN_OR_RETURN(uint32_t size, reader->ReadBits(4));
-  if (size == 0) return 0;
-  if (size > 12) return Status::Corruption("bad MV size");
-  SMOL_ASSIGN_OR_RETURN(uint32_t bits, reader->ReadBits(static_cast<int>(size)));
-  return DecodeValueBits(bits, static_cast<int>(size));
+// Reads one MV component (at most 16 bits); false for a bad size.
+bool ReadMvComponent(BitCursor* cursor, int* v) {
+  const int size = static_cast<int>(cursor->Read(4));
+  if (size > 12) return false;
+  *v = DecodeValueBits(cursor->Read(size), size);
+  return true;
 }
 
 // Per-frame coefficient collection for two-pass Huffman coding.
@@ -546,6 +546,10 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
                         HuffmanTable::Deserialize(&reader));
   SMOL_ASSIGN_OR_RETURN(HuffmanTable ac_chroma,
                         HuffmanTable::Deserialize(&reader));
+  const BlockDecoder luma_decoder(std::move(dc_luma), std::move(ac_luma));
+  const BlockDecoder chroma_decoder(std::move(dc_chroma),
+                                    std::move(ac_chroma));
+  BitCursor cursor(bytes_->data(), bytes_->size(), reader.byte_position());
 
   Ycbcr420 recon;
   recon.width = w;
@@ -564,12 +568,15 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
       MbMode mode = kModeIntra;
       MotionVector mv{0, 0};
       if (!intra) {
-        SMOL_ASSIGN_OR_RETURN(uint32_t mode_bits, reader.ReadBits(2));
+        cursor.Refill();  // mode + two MV components: at most 34 bits
+        const uint32_t mode_bits = cursor.Read(2);
+        if (mode_bits > kModeIntra) return Status::Corruption("bad MB mode");
         mode = static_cast<MbMode>(mode_bits);
-        if (mode == kModeInter) {
-          SMOL_ASSIGN_OR_RETURN(mv.dx, ReadMvComponent(&reader));
-          SMOL_ASSIGN_OR_RETURN(mv.dy, ReadMvComponent(&reader));
+        if (mode == kModeInter && (!ReadMvComponent(&cursor, &mv.dx) ||
+                                   !ReadMvComponent(&cursor, &mv.dy))) {
+          return Status::Corruption("bad MV size");
         }
+        if (cursor.Overrun()) return Status::Corruption("bitstream truncated");
       }
       uint8_t pred_y[256], pred_cb[64], pred_cr[64];
       if (mode == kModeSkip || mode == kModeInter) {
@@ -602,17 +609,17 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
       }
       // Decode 6 blocks.
       for (int b = 0; b < 6; ++b) {
-        CoeffBlock cb;
-        if (b < 4) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, dc_luma, ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, dc_chroma, ac_chroma,
-                                           &dc_pred[b - 3], &cb));
-        }
+        int16_t coeffs[64] = {};
+        const int count =
+            b < 4 ? luma_decoder.Decode(&cursor, &dc_pred[0], coeffs)
+                  : chroma_decoder.Decode(&cursor, &dc_pred[b - 3], coeffs);
+        if (count == 0) return Status::Corruption("invalid entropy code");
+        if (cursor.Overrun()) return Status::Corruption("bitstream truncated");
         stats_.blocks_decoded++;
+        float dct[64];
+        Dequantize(coeffs, b < 4 ? luma_qt : chroma_qt, dct);
         int16_t rec[64];
-        ReconstructBlock(cb, b < 4 ? luma_qt : chroma_qt, rec);
+        InverseDct8x8(dct, rec);
         if (mode == kModeIntra) {
           if (b < 4) {
             StoreIntra(rec, recon.y, w, h, bx + (b % 2) * 8,

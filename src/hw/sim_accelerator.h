@@ -9,9 +9,19 @@
 // Concurrency model: one compute engine (batches serialize on it) plus a DMA
 // engine. With >= 2 streams, transfer for batch i+1 overlaps compute for
 // batch i (copy/compute overlap); with 1 stream they serialize.
+//
+// Timing: each submission books its transfer and compute on a device
+// timeline (DMA end = max(now, DMA free) + transfer; done = max(DMA end,
+// compute free) + compute) and sleeps until its absolute completion time.
+// A batch therefore never finishes sooner than its modelled cost, and a
+// late wake-up delays only the caller that overslept: the next booked batch
+// still starts at the modelled end of the previous one, so timer slack does
+// not accumulate across back-to-back batches.
 #ifndef SMOL_HW_SIM_ACCELERATOR_H_
 #define SMOL_HW_SIM_ACCELERATOR_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,8 +60,7 @@ class SimAccelerator : public Device {
   void ExecuteBatch(int batch_size, size_t input_bytes, bool pinned,
                     int chunks = 1) override;
 
-  /// Every ExecuteBatch blocks until its batch completes, so draining only
-  /// has to wait out submissions still holding the engines.
+  /// Waits until every ExecuteBatch in flight has returned.
   void Drain() override;
 
   /// Cumulative counters (the fleet-generic DeviceStats).
@@ -67,11 +76,14 @@ class SimAccelerator : public Device {
   const Options& options() const { return options_; }
 
  private:
-  void SleepModeled(double modeled_seconds);
+  using Clock = std::chrono::steady_clock;
 
   Options options_;
-  std::mutex compute_mutex_;  // the single compute engine
-  std::mutex dma_mutex_;      // the single DMA engine
+  std::mutex timeline_mutex_;  // guards the timeline and in_flight_
+  std::condition_variable drained_;
+  Clock::time_point dma_free_{};      // when the DMA engine frees up
+  Clock::time_point compute_free_{};  // when the compute engine frees up
+  int in_flight_ = 0;
   mutable std::mutex stats_mutex_;
   Stats stats_;
 };

@@ -3,8 +3,10 @@
 // early stop), SV264 (roundtrip / random access / deblock toggle), formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "src/codec/bitstream.h"
 #include "src/codec/block_codec.h"
@@ -477,6 +479,56 @@ TEST(SjpgTest, CorruptStreamsRejectedNotCrashing) {
   }
 }
 
+// Every byte prefix of a stream is rejected as Corruption, never decoded.
+TEST(SjpgTest, EveryTruncationIsCorruption) {
+  for (int channels : {1, 3}) {
+    const Image img = MakeTestImage(40, 24, channels);
+    ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img, {.quality = 90}));
+    for (size_t keep = 0; keep < bytes.size(); ++keep) {
+      const std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
+      for (int denom : {1, 2}) {
+        SjpgDecodeOptions opts;
+        opts.scale_denom = denom;
+        const auto decoded = SjpgDecode(cut, opts);
+        ASSERT_FALSE(decoded.ok()) << "kept " << keep;
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+            << "kept " << keep << ": " << decoded.status().ToString();
+      }
+    }
+  }
+}
+
+// A 65535 x 65535 color header (~12.9 GB decoded) over 4 bytes of entropy
+// data is rejected while parsing, before any plane is allocated: every
+// block costs at least one entropy bit.
+TEST(SjpgTest, ImpossibleDimensionsRejectedBeforeAllocating) {
+  BitWriter w;
+  w.WriteU32(0x31504A53);  // "SJP1"
+  w.WriteU16(65535);
+  w.WriteU16(65535);
+  w.WriteByte(3);
+  w.WriteByte(75);
+  for (int i = 0; i < 128; ++i) w.WriteU16(1);  // luma + chroma quant
+  ASSERT_OK_AND_ASSIGN(HuffmanTable table,
+                       HuffmanTable::FromFrequencies({1, 1}));
+  for (int t = 0; t < 4; ++t) table.Serialize(&w);
+  const int mcu_rows = 4096;
+  w.WriteU16(mcu_rows);
+  for (int i = 0; i <= mcu_rows; ++i) w.WriteU32(i == mcu_rows ? 4 : 0);
+  for (int i = 0; i < 4; ++i) w.WriteByte(0);
+  const std::vector<uint8_t> bytes = w.Finish();
+  EXPECT_EQ(SjpgPeekHeader(bytes).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(SjpgDecode(bytes).status().code(), StatusCode::kCorruption);
+  SjpgDecodeOptions first_rows;
+  first_rows.max_rows = 16;
+  EXPECT_EQ(SjpgDecode(bytes, first_rows).status().code(),
+            StatusCode::kCorruption);
+  SjpgDecodeOptions eighth;
+  eighth.scale_denom = 8;
+  EXPECT_EQ(SjpgDecode(bytes, eighth).status().code(),
+            StatusCode::kCorruption);
+}
+
 TEST(SjpgTest, EmptyAndBadInputsRejected) {
   EXPECT_FALSE(SjpgEncode(Image()).ok());
   EXPECT_FALSE(SjpgEncode(Image(4, 4, 2)).ok());
@@ -737,6 +789,143 @@ TEST(BlockCodecTest, ValueBitsRoundtrip) {
     }
     const uint32_t bits = EncodeValueBits(v, size);
     EXPECT_EQ(DecodeValueBits(bits, size), v) << v;
+  }
+}
+
+// Random blocks covering every coding case: DC-only blocks, sparse blocks
+// with long zero runs (ZRL), dense blocks, blocks whose coefficient 63 is
+// nonzero (no EOB), and magnitudes up to +-2047.
+std::vector<CoeffBlock> RandomCoeffBlocks(uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<CoeffBlock> blocks(static_cast<size_t>(count));
+  for (int b = 0; b < count; ++b) {
+    CoeffBlock& cb = blocks[static_cast<size_t>(b)];
+    std::fill(std::begin(cb.zz), std::end(cb.zz), int16_t{0});
+    cb.zz[0] = static_cast<int16_t>(rng.UniformInt(-2047, 2047));
+    const int kind = b % 5;
+    if (kind == 0) continue;  // DC only
+    if (kind == 4) {          // exact 16- and 32-zero runs
+      cb.zz[17] = 5;
+      cb.zz[50] = -3;
+      continue;
+    }
+    const double density = kind == 1 ? 0.06 : (kind == 2 ? 0.5 : 1.0);
+    for (int k = 1; k < 64; ++k) {
+      if (!rng.Bernoulli(density)) continue;
+      const int size = static_cast<int>(rng.UniformInt(1, 11));
+      const int v =
+          static_cast<int>(rng.UniformInt(1 << (size - 1), (1 << size) - 1));
+      cb.zz[k] = static_cast<int16_t>(rng.Bernoulli(0.5) ? v : -v);
+    }
+    if (kind == 3) {
+      cb.zz[63] = static_cast<int16_t>(rng.Bernoulli(0.5) ? 2047 : -2047);
+    }
+  }
+  return blocks;
+}
+
+// Huffman tables for \p blocks. With \p skew, symbol frequencies become
+// geometric so the rarer symbols get codes longer than the decode LUT.
+std::pair<HuffmanTable, HuffmanTable> TablesFor(
+    const std::vector<CoeffBlock>& blocks, bool skew) {
+  std::vector<uint64_t> dc(17, 0), ac(256, 0);
+  int pred = 0;
+  for (const CoeffBlock& b : blocks) AccumulateBlockStats(b, &pred, dc, ac);
+  dc[0]++;
+  ac[0x00]++;
+  if (skew) {
+    for (int size = 0; size < 16; ++size) dc[static_cast<size_t>(size)] |= 1;
+    for (auto* freq : {&dc, &ac}) {
+      int rank = 0;
+      for (uint64_t& f : *freq) {
+        if (f > 0) f = uint64_t{1} << std::max(0, 40 - 2 * rank++);
+      }
+    }
+  }
+  return {HuffmanTable::FromFrequencies(dc).MoveValue(),
+          HuffmanTable::FromFrequencies(ac).MoveValue()};
+}
+
+int MaxCodeLength(const HuffmanTable& table) {
+  int longest = 0;
+  for (int s = 0; s < table.alphabet_size(); ++s) {
+    longest = std::max(longest, table.CodeLength(s));
+  }
+  return longest;
+}
+
+TEST(BlockCodecTest, DecoderInvertsEncoderExactly) {
+  const std::vector<CoeffBlock> blocks = RandomCoeffBlocks(71, 400);
+  for (bool skew : {false, true}) {
+    const auto [dc, ac] = TablesFor(blocks, skew);
+    if (skew) {
+      ASSERT_GT(MaxCodeLength(dc), kHuffmanLutBits);
+      ASSERT_GT(MaxCodeLength(ac), kHuffmanLutBits);
+    }
+    BitWriter w;
+    int enc_pred = 0;
+    for (const CoeffBlock& b : blocks) EncodeBlock(b, &enc_pred, dc, ac, &w);
+    const std::vector<uint8_t> bytes = w.Finish();
+
+    const BlockDecoder decoder(dc, ac);
+    BitCursor cursor(bytes.data(), bytes.size(), 0);
+    int dec_pred = 0;
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      int16_t natural[64] = {};
+      const int count = decoder.Decode(&cursor, &dec_pred, natural);
+      ASSERT_FALSE(cursor.Overrun()) << "block " << i;
+      int last = 0;
+      for (int k = 0; k < 64; ++k) {
+        ASSERT_EQ(natural[kZigZag[k]], blocks[i].zz[k])
+            << "skew " << skew << " block " << i << " zig-zag " << k;
+        if (k > 0 && blocks[i].zz[k] != 0) last = k;
+      }
+      ASSERT_EQ(count, last + 1) << "block " << i;
+    }
+    EXPECT_EQ((cursor.bit_position() + 7) / 8, bytes.size());
+  }
+}
+
+// Cutting an encoded row at any bit makes its decode fail: an invalid code
+// or an overrun (both Corruption in the codecs). The codecs' streams end on
+// bytes, so a cut inside a byte keeps that byte's leading bits and zeros
+// the rest; a decode that survives it must have read past the cut, which a
+// stream ending there reports as an overrun.
+TEST(BlockCodecTest, RowCutAtAnyBitFails) {
+  const std::vector<CoeffBlock> blocks = RandomCoeffBlocks(72, 12);
+  for (bool skew : {false, true}) {
+    const auto [dc, ac] = TablesFor(blocks, skew);
+    const BlockDecoder decoder(dc, ac);
+    BitWriter w;
+    int enc_pred = 0;
+    for (const CoeffBlock& b : blocks) EncodeBlock(b, &enc_pred, dc, ac, &w);
+    const std::vector<uint8_t> bytes = w.Finish();
+    // Decodes the row from `data`; false as soon as a block fails.
+    const auto decode_row = [&](const std::vector<uint8_t>& data,
+                                size_t* bits_read) {
+      BitCursor cursor(data.data(), data.size(), 0);
+      int pred = 0;
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        int16_t natural[64] = {};
+        if (decoder.Decode(&cursor, &pred, natural) == 0) return false;
+        if (cursor.Overrun()) return false;
+      }
+      *bits_read = cursor.bit_position();
+      return true;
+    };
+    size_t row_bits = 0;
+    ASSERT_TRUE(decode_row(bytes, &row_bits));
+    for (size_t cut = 0; cut < row_bits; ++cut) {
+      std::vector<uint8_t> data(bytes.begin(), bytes.begin() + (cut + 7) / 8);
+      if (cut % 8 != 0) {
+        data.back() &= static_cast<uint8_t>(0xFF << (8 - cut % 8));
+      }
+      size_t bits_read = 0;
+      if (decode_row(data, &bits_read)) {
+        ASSERT_NE(cut % 8, 0u) << "byte-aligned cut at bit " << cut;
+        ASSERT_GT(bits_read, cut) << "skew " << skew;
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // transfer model, and the simulated accelerator's timing behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -227,6 +228,42 @@ TEST(SimAcceleratorTest, ConcurrentBatchesSerializeOnComputeEngine) {
   b.join();
   // Two 10 ms batches must serialize: >= ~20 ms total.
   EXPECT_GT(sw.ElapsedSeconds(), 0.018);
+}
+
+// Back-to-back batches book the device timeline, so k of them never finish
+// sooner than k x their modelled cost: transfer + compute each on a single
+// stream; with copy/compute overlap, every compute (and every transfer) in
+// series.
+TEST(SimAcceleratorTest, BackToBackBatchesNeverBeatModelledCost) {
+  for (int streams : {1, 4}) {
+    for (int threads : {1, 2}) {
+      SimAccelerator::Options opts;
+      opts.dnn_throughput_ims = 20000.0;  // 50 us / image
+      opts.num_streams = streams;
+      SimAccelerator accel(opts);
+      const int k = 24;
+      Stopwatch sw;
+      std::vector<std::thread> submitters;
+      for (int t = 0; t < threads; ++t) {
+        submitters.emplace_back([&] {
+          for (int i = 0; i < k / threads; ++i) {
+            accel.ExecuteBatch(4, 4 * 150528, true, 4);
+          }
+        });
+      }
+      for (auto& t : submitters) t.join();
+      accel.Drain();
+      const double elapsed = sw.ElapsedSeconds();
+      const SimAccelerator::Stats stats = accel.stats();
+      ASSERT_EQ(stats.batches, static_cast<uint64_t>(k));
+      const double modelled =
+          streams == 1
+              ? stats.compute_seconds + stats.transfer_seconds
+              : std::max(stats.compute_seconds, stats.transfer_seconds);
+      EXPECT_GE(elapsed, modelled)
+          << "streams " << streams << " threads " << threads;
+    }
+  }
 }
 
 TEST(SimAcceleratorTest, GpuPreprocAddsDeviceTime) {

@@ -2,6 +2,7 @@
 // sweeps over seeds). These target the properties the paper's optimizations
 // silently rely on:
 //   * SJPG ROI decode == full decode crop, for arbitrary ROIs.
+//   * Mutated SJPG streams fail with a codec status, never a crash.
 //   * SPNG is lossless for arbitrary content.
 //   * The min estimate never exceeds either stage rate and always
 //     upper-bounds the sum estimate.
@@ -9,6 +10,8 @@
 //   * The DAG optimizer's cost model ranks plans consistently with the
 //     measured execution cost ordering.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/codec/sjpg.h"
 #include "src/codec/spng.h"
@@ -46,6 +49,60 @@ TEST_P(SeededPropertyTest, SjpgRandomRoiMatchesFullDecodeCrop) {
     ASSERT_EQ(partial, reference)
         << "seed " << GetParam() << " roi {" << roi.x << "," << roi.y << ","
         << roi.width << "," << roi.height << "} in " << w << "x" << h;
+  }
+}
+
+// Seeded mutations (byte flips and truncations) of SJPG streams, decoded at
+// every scale and with an ROI and early stop, never crash (the sanitizer
+// tier runs this too): a failure is Corruption, OutOfRange or
+// InvalidArgument, and a success has the dimensions the mutated header
+// declares.
+TEST_P(SeededPropertyTest, SjpgMutatedStreamsFailCleanly) {
+  Rng rng(GetParam() * 53 + 11);
+  const int w = 8 + static_cast<int>(rng.Uniform(90));
+  const int h = 8 + static_cast<int>(rng.Uniform(90));
+  const int channels = rng.Bernoulli(0.25) ? 1 : 3;
+  const Image img = MakeTestImage(w, h, channels, GetParam());
+  ASSERT_OK_AND_ASSIGN(
+      auto bytes,
+      SjpgEncode(img, {.quality = 30 + static_cast<int>(rng.Uniform(66))}));
+  Image out;
+  for (int trial = 0; trial < 96; ++trial) {
+    std::vector<uint8_t> mutated = bytes;
+    if (trial % 4 == 0) {
+      mutated.resize(rng.Uniform(mutated.size()));
+    } else {
+      const int flips = 1 + static_cast<int>(rng.Uniform(3));
+      for (int f = 0; f < flips; ++f) {
+        mutated[rng.Uniform(mutated.size())] ^=
+            static_cast<uint8_t>(1u << rng.Uniform(8));
+      }
+    }
+    SjpgDecodeOptions opts;
+    const int variant = trial % 6;
+    if (variant < 4) opts.scale_denom = 1 << variant;
+    if (variant == 4) opts.roi = Roi{3, 5, w / 2 + 1, h / 3 + 1};
+    if (variant == 5) opts.max_rows = h / 2 + 1;
+    const Status st = SjpgDecodeInto(mutated, opts, &out);
+    if (!st.ok()) {
+      EXPECT_TRUE(st.code() == StatusCode::kCorruption ||
+                  st.code() == StatusCode::kOutOfRange ||
+                  st.code() == StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << st.ToString();
+      continue;
+    }
+    ASSERT_OK_AND_ASSIGN(SjpgHeader hdr, SjpgPeekHeader(mutated));
+    int want_w = (hdr.width + opts.scale_denom - 1) / opts.scale_denom;
+    int want_h = (hdr.height + opts.scale_denom - 1) / opts.scale_denom;
+    if (variant == 4) {
+      want_w = opts.roi.width;
+      want_h = opts.roi.height;
+    } else if (variant == 5) {
+      want_h = std::min(opts.max_rows, hdr.height);
+    }
+    EXPECT_EQ(out.width(), want_w) << "trial " << trial;
+    EXPECT_EQ(out.height(), want_h) << "trial " << trial;
+    EXPECT_EQ(out.channels(), hdr.channels) << "trial " << trial;
   }
 }
 

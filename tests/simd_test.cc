@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/codec/block_codec.h"
 #include "src/codec/color.h"
 #include "src/codec/dct.h"
 #include "src/codec/image.h"
@@ -298,6 +299,90 @@ TEST(SimdParityTest, DctForwardAndInverse) {
       for (int i = 0; i < 64; ++i) {
         ASSERT_NEAR(ref_out[i], got_out[i], 1)
             << "inverse, level=" << SimdLevelName(level) << " index " << i;
+      }
+    }
+  }
+}
+
+// The decoder's fused dequantize + inverse DCT + level-shift store must
+// write exactly what the unfused transform plus a clip writes at the same
+// dispatch level (pixels are bit-identical to the unfused decoder), and so
+// stay within the transform's 1 LSB of the scalar reference. Blocks range
+// from DC-only to dense with saturating magnitudes; n = 4/2/1 are the scaled
+// rungs.
+TEST(SimdParityTest, FusedReconstructStoreMatchesUnfused) {
+  Rng rng(19);
+  std::vector<SimdLevel> levels = WiderLevels();
+  levels.insert(levels.begin(), SimdLevel::kScalar);
+  const auto clip = [](int v) { return std::min(255, std::max(0, v + 128)); };
+  // Unfused reference: dequantize + InverseDct8x8 / InverseDctScaled + clip.
+  const auto reference = [&](const int16_t natural[64], const QuantTable& qt,
+                             int n, int out[64]) {
+    float dct[64];
+    Dequantize(natural, qt, dct);
+    int16_t samples[64];
+    if (n == 8) {
+      InverseDct8x8(dct, samples);
+    } else {
+      InverseDctScaled(dct, n, samples);
+    }
+    for (int i = 0; i < n * n; ++i) out[i] = clip(samples[i]);
+  };
+  // 400 random blocks, then a DC-only sweep: with q[0] in {1, 2, 4} the
+  // dequantized DC covers every small integer, including the values whose
+  // samples land where the scalar and vector roundings differ (a DC of 4
+  // reconstructs to 0.49999997).
+  constexpr int kRandomTrials = 400;
+  constexpr int kSweepQualities[3] = {100, 95, 88};  // q[0] = 1, 2, 4
+  for (int trial = 0; trial < kRandomTrials + 3 * 129; ++trial) {
+    const bool sweep = trial >= kRandomTrials;
+    const int sweep_index = trial - kRandomTrials;
+    const QuantTable qt =
+        QuantTable::Luma(sweep ? kSweepQualities[sweep_index / 129]
+                               : static_cast<int>(rng.UniformInt(1, 100)));
+    const int count = sweep || trial % 4 == 0
+                          ? 1
+                          : static_cast<int>(rng.UniformInt(1, 64));
+    const int magnitude = trial % 3 == 0 ? 2047 : 40;
+    int16_t natural[64] = {};
+    if (sweep) natural[0] = static_cast<int16_t>(sweep_index % 129 - 64);
+    for (int k = 0; k < count && !sweep; ++k) {
+      if (k == 0 || rng.Bernoulli(0.5)) {
+        natural[kZigZag[k]] =
+            static_cast<int16_t>(rng.UniformInt(-magnitude, magnitude));
+      }
+    }
+    for (int n : {8, 4, 2, 1}) {
+      int scalar_ref[64];
+      {
+        ScopedSimdLevelCap cap(SimdLevel::kScalar);
+        reference(natural, qt, n, scalar_ref);
+      }
+      for (SimdLevel level : levels) {
+        ScopedSimdLevelCap cap(level);
+        int ref[64];
+        reference(natural, qt, n, ref);
+        // Strided destination with guard bytes around the block.
+        constexpr size_t kStride = 11;
+        std::vector<uint8_t> dst(kStride * 10, 0xA5);
+        ReconstructStoreBlock(natural, count, qt, n, dst.data() + kStride + 1,
+                              kStride);
+        for (int y = 0; y < 10; ++y) {
+          for (int x = 0; x < static_cast<int>(kStride); ++x) {
+            const int by = y - 1, bx = x - 1;
+            const uint8_t got = dst[y * kStride + x];
+            if (by < 0 || by >= n || bx < 0 || bx >= n) {
+              ASSERT_EQ(got, 0xA5) << "wrote outside the block at " << x
+                                   << "," << y;
+              continue;
+            }
+            ASSERT_EQ(got, ref[by * n + bx])
+                << "level=" << SimdLevelName(level) << " n=" << n
+                << " count=" << count << " at " << bx << "," << by;
+            ASSERT_NEAR(got, scalar_ref[by * n + bx], 1)
+                << "level=" << SimdLevelName(level) << " n=" << n;
+          }
+        }
       }
     }
   }
