@@ -12,9 +12,11 @@
 #include "src/dnn/gemm.h"
 #include "src/preproc/fused.h"
 #include "src/preproc/ops.h"
+#include "src/util/band_crew.h"
 #include "src/util/cpu_features.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/rng.h"
+#include "tests/band_crew_testing.h"
 
 namespace smol {
 namespace {
@@ -47,6 +49,25 @@ void BM_SjpgDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SjpgDecode)->Arg(64)->Arg(128)->Arg(256);
+
+// The same 256 px decode split into MCU-row bands across a crew of
+// range(0) threads: this one plus parked helpers, which re-park (untimed)
+// between iterations the way the Server's idle producers wait on admission.
+void BM_SjpgDecodeBanded(benchmark::State& state) {
+  const Image img = BenchImage(256);
+  const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();
+  testing::ParkedPeers peers(static_cast<int>(state.range(0)) - 1);
+  BandCrew::Scope scope(&peers.crew);
+  for (auto _ : state) {
+    state.PauseTiming();
+    peers.WaitParked();
+    state.ResumeTiming();
+    auto decoded = SjpgDecode(bytes);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SjpgDecodeBanded)->Arg(3)->UseRealTime();
 
 // Reduced-resolution decode of a 256 px image at 1/denom (the adaptive
 // ladder's cheaper rungs).

@@ -237,30 +237,29 @@ Image Ycbcr420ToRgb(const Ycbcr420& ycc) {
   return out;
 }
 
+void YccRowToRgb(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
+                 int width, uint8_t* dst) {
+#if SMOL_SIMD_X86
+  if (simd::Avx2()) {
+    YccRowToRgbAvx2(y, cb, cr, width, dst);
+    return;
+  }
+#endif
+  for (int x = 0; x < width; ++x) {
+    YccToRgb(y[x], cb[x / 2], cr[x / 2], dst + x * 3, dst + x * 3 + 1,
+             dst + x * 3 + 2);
+  }
+}
+
 void Ycbcr420ToRgbInto(const Ycbcr420& ycc, Image* out) {
   out->Reshape(ycc.width, ycc.height, 3);
   const int w = ycc.width;
-  const int h = ycc.height;
   const int cw = ycc.chroma_width();
-#if SMOL_SIMD_X86
-  const bool avx2 = simd::Avx2();
-#endif
-  for (int y = 0; y < h; ++y) {
-    uint8_t* dst = out->row(y);
-    const int cy = y / 2;
-    const uint8_t* yp = ycc.y.data() + static_cast<size_t>(y) * w;
-    const uint8_t* cbp = ycc.cb.data() + static_cast<size_t>(cy) * cw;
-    const uint8_t* crp = ycc.cr.data() + static_cast<size_t>(cy) * cw;
-#if SMOL_SIMD_X86
-    if (avx2) {
-      YccRowToRgbAvx2(yp, cbp, crp, w, dst);
-      continue;
-    }
-#endif
-    for (int x = 0; x < w; ++x) {
-      YccToRgb(yp[x], cbp[x / 2], crp[x / 2], dst + x * 3, dst + x * 3 + 1,
-               dst + x * 3 + 2);
-    }
+  for (int y = 0; y < ycc.height; ++y) {
+    const size_t chroma_row = static_cast<size_t>(y / 2) * cw;
+    YccRowToRgb(ycc.y.data() + static_cast<size_t>(y) * w,
+                ycc.cb.data() + chroma_row, ycc.cr.data() + chroma_row, w,
+                out->row(y));
   }
 }
 

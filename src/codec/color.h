@@ -35,6 +35,12 @@ Image Ycbcr420ToRgb(const Ycbcr420& ycc);
 /// across calls — the allocation-free form the decode-into path uses).
 void Ycbcr420ToRgbInto(const Ycbcr420& ycc, Image* out);
 
+/// Converts one row of 4:2:0 samples to interleaved RGB: pixel x takes luma
+/// y[x] and chroma cb[x / 2], cr[x / 2]. The row kernel of Ycbcr420ToRgbInto,
+/// for callers that convert a band of rows at a time.
+void YccRowToRgb(const uint8_t* y, const uint8_t* cb, const uint8_t* cr,
+                 int width, uint8_t* dst);
+
 /// Scalar conversions (full-range BT.601 integer approximation).
 inline void RgbToYcc(uint8_t r, uint8_t g, uint8_t b, uint8_t* y, uint8_t* cb,
                      uint8_t* cr) {

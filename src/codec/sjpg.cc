@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 
 #include "src/codec/bitstream.h"
@@ -9,6 +10,7 @@
 #include "src/codec/color.h"
 #include "src/codec/dct.h"
 #include "src/codec/huffman.h"
+#include "src/util/band_crew.h"
 #include "src/util/macros.h"
 
 namespace smol {
@@ -255,27 +257,37 @@ Result<SjpgHeader> SjpgPeekHeader(const std::vector<uint8_t>& bytes) {
 
 namespace {
 
-// Decodes MCU rows [mr0, mr1) and columns [mc0, mc1) at n x n samples per
-// 8x8 block (n = 8 / scale_denom) into \p planes, which cover exactly that
-// band of whole MCUs, so every block is stored whole. Each row starts at its
-// index offset with its own bit cursor; entropy decoding runs left to right
-// and stops after column mc1 - 1 (raster early stop), and blocks left of
-// mc0 are entropy-decoded (the DC predictor chains through them) but not
-// transformed.
-Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
-                  int mr0, int mr1, int mc0, int mc1, int n,
-                  PlaneSet* planes, SjpgDecodeStats* stats) {
+// The decoded region: MCU rows [mr0, mr1) x columns [mc0, mc1) at n x n
+// samples per 8x8 block (n = 8 / scale_denom), held in planes covering
+// exactly those whole MCUs, and the output window within the planes.
+struct DecodeGrid {
+  int mr0 = 0, mr1 = 0, mc0 = 0, mc1 = 0;
+  int n = 8;
+  int mcu_n = 16;  // MCU side in output samples
+  Roi out_roi;     // output region, in plane samples
+};
+
+// Decodes MCU rows [r0, r1) of \p grid into \p planes, so every block of
+// those rows is stored whole. Each row starts at its index offset with its
+// own bit cursor and DC predictor, which is what makes rows independent
+// bands; entropy decoding runs left to right and stops after column
+// mc1 - 1 (raster early stop), and blocks left of mc0 are entropy-decoded
+// (the DC predictor chains through them) but not transformed.
+Status DecodeRows(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
+                  const DecodeGrid& grid, int r0, int r1, PlaneSet* planes,
+                  SjpgDecodeStats* stats) {
   const SjpgHeader& hdr = ps.header;
   const bool color = hdr.channels == 3;
   const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
   const int blocks_per_mcu = color ? 6 : 1;
-  const int mcu_n = hdr.mcu_size * n / 8;  // MCU side in output samples
+  const int n = grid.n;
+  const int mcu_n = grid.mcu_n;
   uint8_t* const component_base[3] = {planes->y.data(), planes->cb.data(),
                                       planes->cr.data()};
   const size_t component_stride[3] = {static_cast<size_t>(planes->w),
                                       static_cast<size_t>(planes->cw),
                                       static_cast<size_t>(planes->cw)};
-  for (int mr = mr0; mr < mr1; ++mr) {
+  for (int mr = r0; mr < r1; ++mr) {
     // Seek via the row index: rows outside the band cost nothing.
     const size_t start = ps.entropy_base + ps.row_offsets[mr];
     if (start > bytes.size()) {
@@ -283,8 +295,8 @@ Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
     }
     BitCursor cursor(bytes.data(), bytes.size(), start);
     int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < mc1; ++mc) {
-      const bool in_band = mc >= mc0;
+    for (int mc = 0; mc < grid.mc1; ++mc) {
+      const bool in_band = mc >= grid.mc0;
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
         const int comp = ref.component;
@@ -293,53 +305,78 @@ Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
                               .Decode(&cursor, &dc_pred[comp], coeffs);
         if (count == 0) return Status::Corruption("invalid entropy code");
         if (cursor.Overrun()) return Status::Corruption("bitstream truncated");
-        if (stats != nullptr) stats->entropy_blocks++;
+        stats->entropy_blocks++;
         if (!in_band) continue;  // skip the inverse transform outside the ROI
-        if (stats != nullptr) stats->idct_blocks++;
+        stats->idct_blocks++;
         // Chroma blocks span the whole (subsampled) MCU.
-        const int x = (mc - mc0) * (comp == 0 ? mcu_n : n) + ref.dx * n / 8;
-        const int y = (mr - mr0) * (comp == 0 ? mcu_n : n) + ref.dy * n / 8;
+        const int x =
+            (mc - grid.mc0) * (comp == 0 ? mcu_n : n) + ref.dx * n / 8;
+        const int y =
+            (mr - grid.mr0) * (comp == 0 ? mcu_n : n) + ref.dy * n / 8;
         const size_t stride = component_stride[comp];
         ReconstructStoreBlock(coeffs, count,
                               comp == 0 ? ps.luma_qt : ps.chroma_qt, n,
                               component_base[comp] + y * stride + x, stride);
       }
     }
-    if (stats != nullptr) stats->mcu_rows_decoded++;
+    stats->mcu_rows_decoded++;
   }
   return Status::OK();
 }
 
-// Converts decoded planes to the output image and crops them to \p roi.
-// When the planes are exactly the ROI (aligned ROI, or dimensions that are a
-// multiple of the MCU size), converts straight into *out with no band
-// intermediate or crop copy.
-Status EmitPlanes(PlaneSet planes, int channels, const Roi& roi, Image* out) {
-  const bool exact = roi.x == 0 && roi.y == 0 && roi.width == planes.w &&
-                     roi.height == planes.h;
-  if (channels == 3) {
-    Ycbcr420 ycc;
-    ycc.width = planes.w;
-    ycc.height = planes.h;
-    ycc.y = std::move(planes.y);
-    ycc.cb = std::move(planes.cb);
-    ycc.cr = std::move(planes.cr);
-    if (exact) {
-      Ycbcr420ToRgbInto(ycc, out);
-      return Status::OK();
+// Converts the output rows that MCU rows [r0, r1) cover from \p planes into
+// *out (already shaped to the output window). A window spanning whole plane
+// rows converts in place; a narrower one (ROI, or a width that is not a
+// multiple of the MCU) converts the plane row and copies its window out.
+void EmitRows(const DecodeGrid& grid, int r0, int r1, int channels,
+              const PlaneSet& planes, Image* out) {
+  const Roi& roi = grid.out_roi;
+  const int y0 = std::max((r0 - grid.mr0) * grid.mcu_n, roi.y);
+  const int y1 = std::min((r1 - grid.mr0) * grid.mcu_n, roi.y + roi.height);
+  const bool whole_rows = roi.x == 0 && roi.width == planes.w;
+  const size_t out_row_bytes = static_cast<size_t>(roi.width) * channels;
+  thread_local std::vector<uint8_t> rgb_row;
+  for (int py = y0; py < y1; ++py) {
+    uint8_t* dst = out->row(py - roi.y);
+    const uint8_t* luma = planes.y.data() + static_cast<size_t>(py) * planes.w;
+    if (channels == 1) {
+      std::memcpy(dst, luma + roi.x, out_row_bytes);
+      continue;
     }
-    Image band;
-    Ycbcr420ToRgbInto(ycc, &band);
-    return CropImageInto(band, roi, out);
+    const size_t chroma_row = static_cast<size_t>(py / 2) * planes.cw;
+    const uint8_t* cb = planes.cb.data() + chroma_row;
+    const uint8_t* cr = planes.cr.data() + chroma_row;
+    if (whole_rows) {
+      YccRowToRgb(luma, cb, cr, planes.w, dst);
+      continue;
+    }
+    rgb_row.resize(static_cast<size_t>(planes.w) * 3);
+    YccRowToRgb(luma, cb, cr, planes.w, rgb_row.data());
+    std::memcpy(dst, rgb_row.data() + static_cast<size_t>(roi.x) * 3,
+                out_row_bytes);
   }
-  if (exact) {
-    out->Reshape(planes.w, planes.h, 1);
-    std::memcpy(out->data(), planes.y.data(), planes.y.size());
-    return Status::OK();
-  }
-  Image band(planes.w, planes.h, 1);
-  std::memcpy(band.data(), planes.y.data(), planes.y.size());
-  return CropImageInto(band, roi, out);
+}
+
+// One band's result; a failed band keeps its first error and the stats up
+// to it, exactly as a serial decode would have stopped there.
+struct BandOutcome {
+  Status status;
+  SjpgDecodeStats stats;
+};
+
+// Per-thread decode storage, reused across calls: the planes (~96 KB at
+// 256 px) and the per-band outcomes. Helper threads write into the calling
+// thread's planes while it waits in ForEachBand.
+struct DecodeScratch {
+  PlaneSet planes;
+  std::vector<BandOutcome> bands;
+};
+
+// A reference, not the thread_local itself, is what band lambdas must
+// capture: named in a lambda, a thread_local is the running thread's own.
+DecodeScratch& ThreadDecodeScratch() {
+  thread_local DecodeScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -364,8 +401,9 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
 
   // The band of MCU rows/cols to decode, and the output region within it
   // (in output samples).
-  int mr0 = 0, mr1 = hdr.mcu_rows, mc0 = 0, mc1 = hdr.mcu_cols;
-  Roi out_roi;
+  DecodeGrid grid;
+  grid.mr1 = hdr.mcu_rows;
+  grid.mc1 = hdr.mcu_cols;
   if (denom != 1) {
     // Multi-resolution decode: the whole grid at 1/denom size.
     if (denom != 2 && denom != 4 && denom != 8) {
@@ -375,8 +413,8 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
       return Status::InvalidArgument(
           "scaled decoding cannot be combined with ROI/early stop");
     }
-    out_roi = Roi{0, 0, (hdr.width + denom - 1) / denom,
-                  (hdr.height + denom - 1) / denom};
+    grid.out_roi = Roi{0, 0, (hdr.width + denom - 1) / denom,
+                       (hdr.height + denom - 1) / denom};
   } else {
     Roi roi = options.roi;
     if (!roi.empty()) {
@@ -389,29 +427,68 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
     } else {
       roi = Roi{0, 0, hdr.width, hdr.height};
     }
-    mr0 = roi.y / mcu;
-    mr1 = (roi.y + roi.height + mcu - 1) / mcu;
-    mc0 = roi.x / mcu;
-    mc1 = (roi.x + roi.width + mcu - 1) / mcu;
-    out_roi = Roi{roi.x - mc0 * mcu, roi.y - mr0 * mcu, roi.width, roi.height};
+    grid.mr0 = roi.y / mcu;
+    grid.mr1 = (roi.y + roi.height + mcu - 1) / mcu;
+    grid.mc0 = roi.x / mcu;
+    grid.mc1 = (roi.x + roi.width + mcu - 1) / mcu;
+    grid.out_roi = Roi{roi.x - grid.mc0 * mcu, roi.y - grid.mr0 * mcu,
+                       roi.width, roi.height};
   }
+  grid.n = 8 / denom;
+  grid.mcu_n = mcu / denom;
 
-  // Planes covering the band's whole MCUs.
-  const int n = 8 / denom;
-  const int mcu_n = mcu / denom;
-  PlaneSet planes;
-  planes.w = (mc1 - mc0) * mcu_n;
-  planes.h = (mr1 - mr0) * mcu_n;
-  planes.y.assign(static_cast<size_t>(planes.w) * planes.h, 0);
+  // Planes covering the band's whole MCUs. Every block of a decoded row is
+  // stored whole, so reused planes need no clearing.
+  DecodeScratch& scratch = ThreadDecodeScratch();
+  PlaneSet& planes = scratch.planes;
+  planes.w = (grid.mc1 - grid.mc0) * grid.mcu_n;
+  planes.h = (grid.mr1 - grid.mr0) * grid.mcu_n;
+  planes.y.resize(static_cast<size_t>(planes.w) * planes.h);
   if (color) {
     planes.cw = planes.w / 2;
     planes.ch = planes.h / 2;
-    planes.cb.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
-    planes.cr.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
+    planes.cb.resize(static_cast<size_t>(planes.cw) * planes.ch);
+    planes.cr.resize(static_cast<size_t>(planes.cw) * planes.ch);
   }
-  SMOL_RETURN_IF_ERROR(
-      DecodeBand(ps, bytes, mr0, mr1, mc0, mc1, n, &planes, stats));
-  return EmitPlanes(std::move(planes), hdr.channels, out_roi, out);
+  out->Reshape(grid.out_roi.width, grid.out_roi.height, hdr.channels);
+
+  // One band per MCU row when idle peers can help, else one band for the
+  // whole region. A band decodes its rows, then converts them to *out.
+  const int rows = grid.mr1 - grid.mr0;
+  const int bands = BandCount(rows, 1);
+  scratch.bands.assign(static_cast<size_t>(bands), BandOutcome{});
+  std::atomic<int> first_failed{bands};
+  ForEachBand(bands, [&](int b) {
+    // A serial decode stops at its first error: bands past a failed one are
+    // not needed (and not counted).
+    if (b > first_failed.load(std::memory_order_relaxed)) return;
+    const int r0 = grid.mr0 + rows * b / bands;
+    const int r1 = grid.mr0 + rows * (b + 1) / bands;
+    BandOutcome& outcome = scratch.bands[static_cast<size_t>(b)];
+    outcome.status = DecodeRows(ps, bytes, grid, r0, r1, &planes,
+                                &outcome.stats);
+    if (!outcome.status.ok()) {
+      int seen = first_failed.load(std::memory_order_relaxed);
+      while (b < seen && !first_failed.compare_exchange_weak(
+                             seen, b, std::memory_order_relaxed)) {
+      }
+      return;
+    }
+    EmitRows(grid, r0, r1, hdr.channels, planes, out);
+  });
+  // The lowest failed band's error is the serial decode's first error, and
+  // the bands up to it did exactly the serial decode's work.
+  const int failed = first_failed.load(std::memory_order_relaxed);
+  if (stats != nullptr) {
+    for (int b = 0; b <= std::min(failed, bands - 1); ++b) {
+      const SjpgDecodeStats& band = scratch.bands[static_cast<size_t>(b)].stats;
+      stats->entropy_blocks += band.entropy_blocks;
+      stats->idct_blocks += band.idct_blocks;
+      stats->mcu_rows_decoded += band.mcu_rows_decoded;
+    }
+  }
+  return failed < bands ? scratch.bands[static_cast<size_t>(failed)].status
+                        : Status::OK();
 }
 
 }  // namespace smol

@@ -1,11 +1,16 @@
 #include "src/preproc/fused.h"
 
 #include "src/codec/simd_bytes.h"
+#include "src/util/band_crew.h"
 #include "src/util/simd.h"
 
 namespace smol {
 
 namespace {
+
+// Fewest image rows per band when idle peers split a tail (~4 us of work per
+// band at 170 px wide RGB).
+constexpr int kTailBandRows = 16;
 
 // All row kernels below take the three destination plane cursors explicitly
 // (rather than one CHW base pointer) so the same code serves both the
@@ -177,22 +182,35 @@ Status FusedConvertNormalizeSplitInto(const Image& src,
   const size_t pixels = static_cast<size_t>(src.width()) * src.height();
   float scale[3], offset[3];
   AffineParams(params, scale, offset);
-  const uint8_t* p = src.data();
-  if (c == 3) {
-    FusedTailRgbRun(p, pixels, scale, offset, dst, dst + pixels,
-                    dst + 2 * pixels);
-  } else if (c == 1) {
-    FusedTailGrayRun(p, pixels, scale[0], offset[0], dst);
-  } else {
-    for (int ch = 0; ch < c; ++ch) {
-      float* d = dst + static_cast<size_t>(ch) * pixels;
-      const float s = scale[ch % 3];
-      const float o = offset[ch % 3];
-      for (size_t i = 0; i < pixels; ++i) {
-        d[i] = static_cast<float>(p[i * c + ch]) * s + o;
+  // Idle peers may take bands of the run. Band edges fall on multiples of
+  // kRunAlign pixels, so every pixel meets the same vector or scalar code it
+  // would in one unbanded run (the two round differently).
+  constexpr size_t kRunAlign = 16;
+  const int bands = BandCount(src.height(), kTailBandRows);
+  ForEachBand(bands, [&](int b) {
+    const size_t begin =
+        b == 0 ? 0 : pixels * b / bands / kRunAlign * kRunAlign;
+    const size_t end = b + 1 == bands
+                           ? pixels
+                           : pixels * (b + 1) / bands / kRunAlign * kRunAlign;
+    const uint8_t* p = src.data() + begin * c;
+    const size_t count = end - begin;
+    if (c == 3) {
+      FusedTailRgbRun(p, count, scale, offset, dst + begin,
+                      dst + pixels + begin, dst + 2 * pixels + begin);
+    } else if (c == 1) {
+      FusedTailGrayRun(p, count, scale[0], offset[0], dst + begin);
+    } else {
+      for (int ch = 0; ch < c; ++ch) {
+        float* d = dst + static_cast<size_t>(ch) * pixels + begin;
+        const float s = scale[ch % 3];
+        const float o = offset[ch % 3];
+        for (size_t i = 0; i < count; ++i) {
+          d[i] = static_cast<float>(p[i * c + ch]) * s + o;
+        }
       }
     }
-  }
+  });
   return Status::OK();
 }
 
@@ -219,33 +237,30 @@ Status FusedConvertNormalizeSplitRoiInto(const Image& src, const Roi& roi,
   float scale[3], offset[3];
   AffineParams(params, scale, offset);
   const size_t row_pixels = static_cast<size_t>(roi.width);
-  if (c == 3) {
-    for (int y = 0; y < roi.height; ++y) {
-      const uint8_t* p = src.row(roi.y + y) + static_cast<size_t>(roi.x) * 3;
-      float* d = dst + static_cast<size_t>(y) * row_pixels;
-      FusedTailRgbRun(p, row_pixels, scale, offset, d, d + out_pixels,
-                      d + 2 * out_pixels);
-    }
-  } else if (c == 1) {
-    for (int y = 0; y < roi.height; ++y) {
-      const uint8_t* p = src.row(roi.y + y) + roi.x;
-      FusedTailGrayRun(p, row_pixels, scale[0], offset[0],
-                       dst + static_cast<size_t>(y) * row_pixels);
-    }
-  } else {
-    for (int y = 0; y < roi.height; ++y) {
+  // Row by row, so idle peers may take bands of rows.
+  const int bands = BandCount(roi.height, kTailBandRows);
+  ForEachBand(bands, [&](int b) {
+    for (int y = roi.height * b / bands; y < roi.height * (b + 1) / bands;
+         ++y) {
       const uint8_t* p =
           src.row(roi.y + y) + static_cast<size_t>(roi.x) * c;
-      for (int ch = 0; ch < c; ++ch) {
-        float* d = dst + static_cast<size_t>(ch) * out_pixels +
-                   static_cast<size_t>(y) * row_pixels;
-        for (size_t i = 0; i < row_pixels; ++i) {
-          d[i] = static_cast<float>(p[i * c + ch]) * scale[ch % 3] +
-                 offset[ch % 3];
+      float* d = dst + static_cast<size_t>(y) * row_pixels;
+      if (c == 3) {
+        FusedTailRgbRun(p, row_pixels, scale, offset, d, d + out_pixels,
+                        d + 2 * out_pixels);
+      } else if (c == 1) {
+        FusedTailGrayRun(p, row_pixels, scale[0], offset[0], d);
+      } else {
+        for (int ch = 0; ch < c; ++ch) {
+          float* dc = d + static_cast<size_t>(ch) * out_pixels;
+          for (size_t i = 0; i < row_pixels; ++i) {
+            dc[i] = static_cast<float>(p[i * c + ch]) * scale[ch % 3] +
+                    offset[ch % 3];
+          }
         }
       }
     }
-  }
+  });
   return Status::OK();
 }
 

@@ -152,6 +152,11 @@ Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
                   << DispatchPolicyName(options_.dispatch) << " dispatch, "
                   << ladder_.size() << " plan rung(s)";
 
+  if (pipe.num_producers > 1) {
+    crew_ = std::make_unique<BandCrew>(
+        [this] { admission_.Wake(); },
+        [this] { return admission_.size() > 0; });
+  }
   workers_.reserve(static_cast<size_t>(pipe.num_producers));
   for (int i = 0; i < pipe.num_producers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -273,7 +278,10 @@ void Server::WorkerLoop() {
   // Per-thread scratch: the decode image and preproc intermediates keep
   // their allocations across every item this worker processes.
   PipelineScratch scratch;
-  while (auto request = admission_.Pop()) {
+  // Idle in the admission wait, this producer helps its peers' row bands;
+  // busy, it may split its own request across them.
+  BandCrew::Scope band_scope(crew_.get());
+  while (auto request = PopOrHelp(admission_, crew_.get())) {
     const InferenceRequest& req = request->request;
     const int klass = static_cast<int>(req.klass);
     // A request whose deadline already passed while queued completes
@@ -310,9 +318,13 @@ void Server::WorkerLoop() {
     staged.ctx = std::move(request->ctx);
     staged.klass = req.klass;
     staged.rung = rung;
+    const uint64_t jobs_before = BandCrew::JobsPostedByThisThread();
     auto sample =
         DecodeAndStage(item, decode_, active.plan, active.spec, *shard.pool,
                        counters_, scratch, cache_.get(), active.fingerprint);
+    if (BandCrew::JobsPostedByThisThread() != jobs_before) {
+      split_requests_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (!sample.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
       class_counters_[klass].failed.fetch_add(1, std::memory_order_release);
@@ -524,6 +536,8 @@ ServerStats Server::stats() const {
     s.active_rung.push_back(ActiveRung(static_cast<RequestClass>(c)));
   }
   s.plan_switches = controller_ != nullptr ? controller_->switches() : 0;
+  s.split_requests = split_requests_.load(std::memory_order_relaxed);
+  if (crew_ != nullptr) s.helper_bands = crew_->stats().helper_bands;
   s.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start_time_)
                        .count();

@@ -43,6 +43,16 @@
 //                      served at its class's active rung; the reply reports
 //                      the rung.
 //
+//   Row bands          When the admission queue is empty, a producer splits
+//                      its request's decode and preprocessing row loops into
+//                      bands (util/band_crew.h); the producers parked on the
+//                      empty queue wake and claim bands too, and each
+//                      leaves after its current band once a request is
+//                      queued. Under backlog nothing is split: every
+//                      producer decodes whole images. With one producer the
+//                      server never splits. Outputs are bit-identical
+//                      either way.
+//
 // The single-device Server is the degenerate case M=1: one shard, one pool,
 // one batcher — behaviourally identical to the pre-sharding runtime. The
 // non-adaptive Server is the degenerate one-rung ladder with no controller.
@@ -68,6 +78,7 @@
 #include "src/runtime/engine.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/plan_controller.h"
+#include "src/util/band_crew.h"
 #include "src/util/latency_histogram.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/status.h"
@@ -235,6 +246,12 @@ struct ServerStats {
   /// static_cast<int>(RequestClass)).
   std::vector<int> active_rung;
   uint64_t plan_switches = 0;  ///< controller rung changes since start
+
+  /// Row-band splitting (see "Row bands" above). Requests whose decode or
+  /// preprocessing was split across idle producers, and the bands those
+  /// helpers ran. Both stay 0 with one producer.
+  uint64_t split_requests = 0;
+  uint64_t helper_bands = 0;
 };
 
 /// \brief Persistent streaming inference server over a fleet of devices.
@@ -381,7 +398,10 @@ class Server {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<TensorCache> cache_;  // null unless enable_tensor_cache
   MpmcQueue<Request> admission_;
+  /// The producers' row-band crew; null with one producer (never splits).
+  std::unique_ptr<BandCrew> crew_;
   std::vector<std::thread> workers_;  // decode + preprocess + dispatch
+  std::atomic<uint64_t> split_requests_{0};
 
   PipelineCounters counters_;
   std::atomic<uint64_t> submitted_{0};

@@ -72,6 +72,30 @@ class MpmcQueue {
     return item;
   }
 
+  /// Like Pop, but also returns std::nullopt, with the queue still open,
+  /// as soon as \p side_work() holds while the queue is empty: an idle
+  /// consumer can then take other work (a BandCrew job) and come back.
+  /// side_work() runs under the queue's lock; whoever makes it true must
+  /// call Wake() afterwards, or a waiter may sleep through the change.
+  template <typename Pred>
+  std::optional<T> PopOr(Pred side_work) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_empty_.wait(lock,
+                    [&] { return closed_ || !items_.empty() || side_work(); });
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop();
+    lock.unlock();
+    not_full_.notify_one();
+    return item;
+  }
+
+  /// Wakes every blocked consumer to re-check its PopOr side_work.
+  void Wake() {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    not_empty_.notify_all();
+  }
+
   /// Non-blocking pop.
   std::optional<T> TryPop() {
     std::unique_lock<std::mutex> lock(mutex_);

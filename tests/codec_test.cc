@@ -18,6 +18,7 @@
 #include "src/codec/sjpg.h"
 #include "src/codec/spng.h"
 #include "src/codec/sv264.h"
+#include "tests/sjpg_band_testing.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -496,6 +497,40 @@ TEST(SjpgTest, EveryTruncationIsCorruption) {
       }
     }
   }
+}
+
+// Idle peers decode MCU-row bands of one image; the result must not depend
+// on it: pixels, stats and status equal the one-band decode for crews of 1
+// to 4 threads, over full, ROI and early-stop decodes of color and gray
+// images of aligned and odd sizes, and over streams whose entropy data is
+// corrupted mid-image (the lowest failing band reports the serial error).
+TEST(SjpgTest, BandedDecodeMatchesOneBand) {
+  testing::SjpgBandChecker checker;
+  const struct {
+    int w, h, channels;
+  } shapes[] = {{256, 256, 3}, {250, 171, 3}, {250, 171, 1}, {37, 53, 1}};
+  for (const auto& shape : shapes) {
+    const Image img = MakeTestImage(shape.w, shape.h, shape.channels, 5);
+    ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img, {.quality = 85}));
+    const std::string name = std::to_string(shape.w) + "x" +
+                             std::to_string(shape.h) + "x" +
+                             std::to_string(shape.channels);
+    SjpgDecodeOptions full;
+    checker.Check(bytes, full, name + " full");
+    SjpgDecodeOptions roi;
+    roi.roi = Roi{7, 19, shape.w / 2 + 3, shape.h / 2 + 1};
+    checker.Check(bytes, roi, name + " roi");
+    SjpgDecodeOptions early;
+    early.max_rows = shape.h / 2 + 5;
+    checker.Check(bytes, early, name + " max_rows");
+    for (size_t at : {bytes.size() / 2, bytes.size() * 3 / 4,
+                      bytes.size() - 9}) {
+      std::vector<uint8_t> corrupt = bytes;
+      corrupt[at] ^= 0x5A;
+      checker.Check(corrupt, full, name + " flipped at " + std::to_string(at));
+    }
+  }
+  EXPECT_GT(checker.split_jobs(), 0u);
 }
 
 // A 65535 x 65535 color header (~12.9 GB decoded) over 4 bytes of entropy

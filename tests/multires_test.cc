@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/codec/dct.h"
 #include "src/codec/sjpg.h"
 #include "src/dnn/trainer.h"
 #include "src/util/stopwatch.h"
+#include "tests/sjpg_band_testing.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -116,6 +119,27 @@ TEST(ScaledDecodeTest, ScaleOneMatchesPlainDecode) {
   opts.scale_denom = 1;
   ASSERT_OK_AND_ASSIGN(Image scaled, SjpgDecode(bytes, opts));
   EXPECT_EQ(plain, scaled);
+}
+
+// Banded scaled decodes (idle peers help) equal the one-band decode at
+// every denominator: pixels, stats and status, for crews of 1 to 4 threads.
+TEST(ScaledDecodeTest, BandedDecodeMatchesOneBandAtEveryDenom) {
+  testing::SjpgBandChecker checker;
+  for (const int channels : {3, 1}) {
+    for (const auto& [w, h] : {std::pair{256, 256}, std::pair{250, 171}}) {
+      const Image img = MakeTestImage(w, h, channels, 9);
+      ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img, {.quality = 75}));
+      for (const int denom : {1, 2, 4, 8}) {
+        SjpgDecodeOptions opts;
+        opts.scale_denom = denom;
+        checker.Check(bytes, opts,
+                      std::to_string(w) + "x" + std::to_string(h) + "x" +
+                          std::to_string(channels) + " denom " +
+                          std::to_string(denom));
+      }
+    }
+  }
+  EXPECT_GT(checker.split_jobs(), 0u);
 }
 
 TEST(ScaledDecodeTest, GrayscaleSupported) {

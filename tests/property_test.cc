@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/codec/sjpg.h"
 #include "src/codec/spng.h"
@@ -19,6 +20,7 @@
 #include "src/core/optimizer.h"
 #include "src/preproc/graph.h"
 #include "src/util/stopwatch.h"
+#include "tests/sjpg_band_testing.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -55,8 +57,8 @@ TEST_P(SeededPropertyTest, SjpgRandomRoiMatchesFullDecodeCrop) {
 // Seeded mutations (byte flips and truncations) of SJPG streams, decoded at
 // every scale and with an ROI and early stop, never crash (the sanitizer
 // tier runs this too): a failure is Corruption, OutOfRange or
-// InvalidArgument, and a success has the dimensions the mutated header
-// declares.
+// InvalidArgument, a success has the dimensions the mutated header
+// declares, and banded decodes give the same status as the one-band one.
 TEST_P(SeededPropertyTest, SjpgMutatedStreamsFailCleanly) {
   Rng rng(GetParam() * 53 + 11);
   const int w = 8 + static_cast<int>(rng.Uniform(90));
@@ -67,6 +69,7 @@ TEST_P(SeededPropertyTest, SjpgMutatedStreamsFailCleanly) {
       auto bytes,
       SjpgEncode(img, {.quality = 30 + static_cast<int>(rng.Uniform(66))}));
   Image out;
+  testing::SjpgBandChecker checker;
   for (int trial = 0; trial < 96; ++trial) {
     std::vector<uint8_t> mutated = bytes;
     if (trial % 4 == 0) {
@@ -84,6 +87,8 @@ TEST_P(SeededPropertyTest, SjpgMutatedStreamsFailCleanly) {
     if (variant == 4) opts.roi = Roi{3, 5, w / 2 + 1, h / 3 + 1};
     if (variant == 5) opts.max_rows = h / 2 + 1;
     const Status st = SjpgDecodeInto(mutated, opts, &out);
+    // Banded decodes report the same status (and stats and pixels).
+    checker.Check(mutated, opts, "trial " + std::to_string(trial));
     if (!st.ok()) {
       EXPECT_TRUE(st.code() == StatusCode::kCorruption ||
                   st.code() == StatusCode::kOutOfRange ||

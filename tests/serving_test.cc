@@ -275,6 +275,78 @@ TEST_F(ServingTest, ShutdownDrainsInFlightRequests) {
   EXPECT_EQ(server.stats().completed, 16u);
 }
 
+// Calm traffic: one request at a time leaves the other producers parked on
+// the empty admission queue, so the working one splits its decode and
+// preprocessing into row bands they can claim.
+TEST_F(ServingTest, CalmSequentialTrafficSplitsAcrossIdleProducers) {
+  ServerOptions opts;
+  opts.pipeline.num_producers = 3;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
+  for (int i = 0; i < 24; ++i) {
+    const InferenceReply r = server.Submit(Item(i)).get();
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_EQ(r.label, i);
+  }
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 24u);
+  EXPECT_GE(stats.split_requests, 1u);
+  EXPECT_LE(stats.split_requests, stats.completed);
+}
+
+// One producer has no peer to help it: the server never splits.
+TEST_F(ServingTest, SingleProducerNeverSplits) {
+  ServerOptions opts;
+  opts.pipeline.num_producers = 1;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(server.Submit(Item(i)).get().ok());
+  }
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 16u);
+  EXPECT_EQ(stats.split_requests, 0u);
+  EXPECT_EQ(stats.helper_bands, 0u);
+}
+
+// Shutdown() in the middle of a calm, splitting stream still returns, and
+// every request is answered exactly once: served, or cancelled after the
+// shutdown closed admission.
+TEST_F(ServingTest, ShutdownDuringCalmSplittingStreamReturns) {
+  ServerOptions opts;
+  opts.pipeline.num_producers = 3;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
+  std::vector<std::future<InferenceReply>> replies;
+  std::atomic<bool> streaming{true};
+  std::thread stream([&] {
+    for (int i = 0; i < 400 && streaming; ++i) {
+      replies.push_back(server.Submit(Item(i)));
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  while (server.stats().split_requests == 0 &&
+         server.stats().completed < 200) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Shutdown();
+  streaming = false;
+  stream.join();
+  uint64_t served = 0;
+  for (auto& reply : replies) {
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const InferenceReply r = reply.get();
+    if (r.ok()) {
+      ++served;
+    } else {
+      EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, served);
+  EXPECT_EQ(stats.submitted, served);
+}
+
 TEST_F(ServingTest, SubmitAfterShutdownIsCancelled) {
   ServerOptions opts;
   Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));

@@ -1,5 +1,5 @@
-// Unit and property tests for src/util: Status/Result, MPMC queue, thread
-// pool, buffer pool, RNG, stopwatch.
+// Unit and property tests for src/util: Status/Result, MPMC queue, row-band
+// crew, thread pool, buffer pool, RNG, stopwatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/band_crew.h"
 #include "src/util/buffer_pool.h"
 #include "src/util/logging.h"
 #include "src/util/macros.h"
@@ -21,6 +22,7 @@
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
+#include "tests/band_crew_testing.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -178,6 +180,141 @@ TEST(MpmcQueueTest, BlockedConsumersWakeOnClose) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.Close();
   consumer.join();
+}
+
+TEST(MpmcQueueTest, PopOrPrefersItemsAndReturnsForSideWork) {
+  MpmcQueue<int> q(4);
+  ASSERT_TRUE(q.Push(7));
+  EXPECT_EQ(q.PopOr([] { return true; }), std::optional<int>(7));
+  EXPECT_FALSE(q.PopOr([] { return true; }).has_value());
+  EXPECT_FALSE(q.closed());
+  // A consumer blocked on an empty queue returns once side work appears and
+  // Wake() is called.
+  std::atomic<bool> side{false};
+  std::thread consumer([&] {
+    EXPECT_FALSE(q.PopOr([&] { return side.load(); }).has_value());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  side = true;
+  q.Wake();
+  consumer.join();
+}
+
+// --- BandCrew -------------------------------------------------------------------
+
+// Runs one ForEachBand of \p n bands and checks each band ran exactly once.
+void ExpectEachBandOnce(int n, const std::function<void(int)>& body = {}) {
+  std::vector<std::atomic<int>> runs(static_cast<size_t>(n));
+  ForEachBand(n, [&](int b) {
+    if (body) body(b);
+    runs[static_cast<size_t>(b)].fetch_add(1);
+  });
+  for (int b = 0; b < n; ++b) {
+    EXPECT_EQ(runs[static_cast<size_t>(b)].load(), 1) << "band " << b;
+  }
+}
+
+TEST(BandCrewTest, WithoutCrewEveryBandRunsInline) {
+  ASSERT_EQ(BandCrew::Current(), nullptr);
+  EXPECT_EQ(BandCount(256, 16), 1);
+  const auto self = std::this_thread::get_id();
+  ExpectEachBandOnce(8, [&](int) { EXPECT_EQ(std::this_thread::get_id(), self); });
+}
+
+TEST(BandCrewTest, OneBandJobRunsInlineWithoutWake) {
+  std::atomic<int> wakes{0};
+  BandCrew crew([&] { wakes.fetch_add(1); }, [] { return false; });
+  BandCrew::Scope scope(&crew);
+  BandCrew::IdleScope idle_peer(crew);  // one peer available to help
+  EXPECT_EQ(crew.Width(), 2);
+  EXPECT_EQ(BandCount(1, 1), 1);
+  const auto self = std::this_thread::get_id();
+  ExpectEachBandOnce(1, [&](int) { EXPECT_EQ(std::this_thread::get_id(), self); });
+  EXPECT_EQ(wakes.load(), 0);
+  EXPECT_EQ(crew.stats().jobs, 0u);
+}
+
+TEST(BandCrewTest, QueuedWorkKeepsBandsInline) {
+  testing::ParkedPeers peers(2);
+  ASSERT_TRUE(peers.WaitParked());
+  BandCrew::Scope scope(&peers.crew);
+  EXPECT_EQ(BandCount(64, 4), 16);
+  peers.queued = true;  // backlog: nothing splits
+  EXPECT_EQ(BandCount(64, 4), 1);
+  ExpectEachBandOnce(16);
+  EXPECT_EQ(peers.crew.stats().jobs, 0u);
+}
+
+TEST(BandCrewTest, IdlePeersHelpAndEachBandRunsOnce) {
+  testing::ParkedPeers peers(3);
+  ASSERT_TRUE(peers.WaitParked());
+  BandCrew::Scope scope(&peers.crew);
+  const auto self = std::this_thread::get_id();
+  std::atomic<int> owner_bands{0};
+  // Sleeping bands give the woken helpers time to join, even on one core.
+  ExpectEachBandOnce(32, [&](int) {
+    if (std::this_thread::get_id() == self) owner_bands.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  });
+  const BandCrew::Stats stats = peers.crew.stats();
+  EXPECT_EQ(stats.jobs, 1u);
+  EXPECT_GT(stats.helper_bands, 0u);
+  EXPECT_EQ(stats.helper_bands + static_cast<uint64_t>(owner_bands.load()),
+            32u);
+}
+
+TEST(BandCrewTest, HelperLeavesAfterOneBandWhenWorkArrives) {
+  testing::ParkedPeers peers(1);
+  ASSERT_TRUE(peers.WaitParked());
+  BandCrew::Scope scope(&peers.crew);
+  const auto self = std::this_thread::get_id();
+  std::atomic<bool> helper_ran{false};
+  ExpectEachBandOnce(8, [&](int b) {
+    if (std::this_thread::get_id() != self) {
+      peers.queued = true;  // the helper's own work arrives mid-band
+      helper_ran = true;
+      return;
+    }
+    // The owner holds band 0 until the helper has run one band, so the
+    // helper gets the chance to take more than one if it did not leave.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (b == 0 && !helper_ran && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  EXPECT_TRUE(helper_ran.load());
+  EXPECT_EQ(peers.crew.stats().helper_bands, 1u);
+}
+
+TEST(BandCrewTest, ConcurrentOwnersEachBandRunsOnce) {
+  testing::ParkedPeers peers(2);
+  ASSERT_TRUE(peers.WaitParked());
+  std::vector<std::thread> owners;
+  for (int o = 0; o < 3; ++o) {
+    owners.emplace_back([&] {
+      BandCrew::Scope scope(&peers.crew);
+      for (int job = 0; job < 40; ++job) ExpectEachBandOnce(16);
+    });
+  }
+  for (auto& t : owners) t.join();
+  EXPECT_GT(peers.crew.stats().jobs, 0u);
+}
+
+TEST(BandCrewTest, ShutdownWhileJobInFlight) {
+  testing::ParkedPeers peers(2);
+  ASSERT_TRUE(peers.WaitParked());
+  std::atomic<bool> started{false};
+  std::thread owner([&] {
+    BandCrew::Scope scope(&peers.crew);
+    ExpectEachBandOnce(24, [&](int) {
+      started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  });
+  while (!started) std::this_thread::yield();
+  peers.Stop();  // helpers finish their claimed bands, then exit
+  owner.join();  // the owner runs whatever is left
 }
 
 // --- ThreadPool -----------------------------------------------------------------
