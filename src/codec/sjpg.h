@@ -16,6 +16,17 @@
 // plane with the fused dequantize + IDCT + store, at full resolution or at
 // the scaled rungs alike.
 //
+// Row bands: because every MCU row decodes independently, a decode runs as
+// ForEachBand over bands of MCU rows (src/util/band_crew.h), each band
+// converting its own rows to the output right after decoding them. With no
+// band crew installed on the calling thread, or when the crew has queued
+// work or no idle peer (a server under backlog), the whole region is one
+// band on the calling thread. Under calm load a serving producer's parked
+// peers claim bands too. Pixels, stats and status are identical either way:
+// stats are summed per band, and the reported error is the lowest failing
+// band's first error, which is where a serial decode stops. The planes are
+// kept per thread and reused across calls.
+//
 // ROI decoding follows the paper exactly: rows outside the ROI band are
 // skipped via the index; within a row, entropy decoding proceeds left-to-
 // right and stops after the last ROI column (raster early stop); the inverse
@@ -94,8 +105,10 @@ Result<Image> SjpgDecode(const std::vector<uint8_t>& bytes,
 
 /// Same decode emitting into \p out, whose storage is reused across calls
 /// (the serving path decodes every frame into one per-thread scratch image).
-/// Aligned full-band decodes convert colorspace straight into \p out with no
-/// band intermediate or crop copy.
+/// Rows convert colorspace straight into \p out; only a window narrower than
+/// the decoded MCUs (ROI, or a width that is not a multiple of the MCU)
+/// converts through a one-row buffer. On error \p out's contents are
+/// unspecified.
 Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
                       const SjpgDecodeOptions& options, Image* out,
                       SjpgDecodeStats* stats = nullptr);

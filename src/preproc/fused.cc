@@ -183,8 +183,8 @@ Status FusedConvertNormalizeSplitInto(const Image& src,
   float scale[3], offset[3];
   AffineParams(params, scale, offset);
   // Idle peers may take bands of the run. Band edges fall on multiples of
-  // kRunAlign pixels, so every pixel meets the same vector or scalar code it
-  // would in one unbanded run (the two round differently).
+  // kRunAlign pixels, so every pixel meets the same code (vector body or
+  // scalar tail, which need not round alike) as in one unbanded run.
   constexpr size_t kRunAlign = 16;
   const int bands = BandCount(src.height(), kTailBandRows);
   ForEachBand(bands, [&](int b) {

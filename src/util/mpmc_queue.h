@@ -62,14 +62,7 @@ class MpmcQueue {
 
   /// Blocks until an item is available or the queue is closed and drained.
   std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
+    return PopOr([] { return false; });
   }
 
   /// Like Pop, but also returns std::nullopt, with the queue still open,
@@ -82,7 +75,7 @@ class MpmcQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock,
                     [&] { return closed_ || !items_.empty() || side_work(); });
-    if (items_.empty()) return std::nullopt;
+    if (items_.empty()) return std::nullopt;  // side work, or closed+drained
     T item = std::move(items_.front());
     items_.pop();
     lock.unlock();

@@ -11,11 +11,14 @@
 #include "src/preproc/graph.h"
 #include "src/preproc/ops.h"
 #include "src/preproc/placement.h"
+#include "src/util/band_crew.h"
+#include "tests/band_crew_testing.h"
 #include "tests/test_util.h"
 
 namespace smol {
 namespace {
 
+using smol::testing::MakeNoiseImage;
 using smol::testing::MakeTestImage;
 
 // --- Operators ------------------------------------------------------------------
@@ -141,6 +144,38 @@ TEST(FusedTest, IntoVariantWritesCallerBuffer) {
   // Too-small buffer is rejected.
   EXPECT_FALSE(
       FusedConvertNormalizeSplitInto(img, params, buffer.data(), 10).ok());
+}
+
+// Idle peers may take row bands of the fused tail. Vector and scalar code
+// round differently, so band edges must not move a pixel from one to the
+// other: with odd widths, banded output equals one unbanded run bit for bit.
+TEST(FusedTest, BandedTailMatchesOneRun) {
+  testing::ParkedPeers peers(2);
+  NormalizeParams params;
+  for (const int channels : {3, 1}) {
+    const Image img = MakeNoiseImage(131, 97, channels, 3);
+    const Roi roi{5, 3, 117, 90};
+    std::vector<float> want(img.size_bytes()), got(img.size_bytes());
+    std::vector<float> want_roi(img.size_bytes()), got_roi(img.size_bytes());
+    ASSERT_OK(FusedConvertNormalizeSplitInto(img, params, want.data(),
+                                             want.size()));
+    ASSERT_OK(FusedConvertNormalizeSplitRoiInto(img, roi, params,
+                                                want_roi.data(),
+                                                want_roi.size()));
+    ASSERT_TRUE(peers.WaitParked());
+    BandCrew::Scope scope(&peers.crew);
+    ASSERT_OK(
+        FusedConvertNormalizeSplitInto(img, params, got.data(), got.size()));
+    ASSERT_TRUE(peers.WaitParked());
+    ASSERT_OK(FusedConvertNormalizeSplitRoiInto(img, roi, params,
+                                                got_roi.data(),
+                                                got_roi.size()));
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(got_roi.data(), want_roi.data(),
+                             want_roi.size() * sizeof(float)));
+  }
+  EXPECT_GE(peers.crew.stats().jobs, 4u);
 }
 
 // --- DAG optimizer --------------------------------------------------------------------
@@ -274,24 +309,32 @@ TEST(GraphTest, ExecutePlanIntoMatchesExecutePlanExactly) {
 }
 
 // Non-square inputs exercise the short-side scaling and the crop-fused tail's
-// row-strided path (ROI narrower than the resized image).
+// row-strided path (ROI narrower than the resized image). The executor also
+// runs with two idle peers that take row bands of its resize and tails: the
+// output must not change (131 px rows also put band edges mid-row).
 TEST(GraphTest, ExecutePlanIntoMatchesOnNonSquareInputs) {
   PreprocScratch scratch;
+  testing::ParkedPeers peers(2);
   for (auto dims : {std::pair<int, int>{128, 96}, {96, 128}, {131, 97}}) {
     const auto spec = TestSpec(dims.first, dims.second);
     const Image img = MakeTestImage(dims.first, dims.second, 3, 9);
     for (const auto& plan : PreprocOptimizer::EnumeratePlans(spec)) {
       ASSERT_OK_AND_ASSIGN(FloatImage ref, ExecutePlan(plan, spec, img));
-      std::vector<float> dst(ref.data.size());
-      ASSERT_OK_AND_ASSIGN(
-          size_t written,
-          ExecutePlanInto(plan, spec, img, scratch, dst.data(), dst.size()));
-      ASSERT_EQ(written, ref.data.size()) << plan.ToString();
-      ASSERT_EQ(0, std::memcmp(dst.data(), ref.data.data(),
-                               written * sizeof(float)))
-          << plan.ToString();
+      for (BandCrew* crew : {static_cast<BandCrew*>(nullptr), &peers.crew}) {
+        ASSERT_TRUE(peers.WaitParked());
+        BandCrew::Scope scope(crew);
+        std::vector<float> dst(ref.data.size());
+        ASSERT_OK_AND_ASSIGN(
+            size_t written,
+            ExecutePlanInto(plan, spec, img, scratch, dst.data(), dst.size()));
+        ASSERT_EQ(written, ref.data.size()) << plan.ToString();
+        ASSERT_EQ(0, std::memcmp(dst.data(), ref.data.data(),
+                                 written * sizeof(float)))
+            << plan.ToString() << (crew != nullptr ? " banded" : "");
+      }
     }
   }
+  EXPECT_GT(peers.crew.stats().jobs, 0u);
 }
 
 TEST(GraphTest, ExecutePlanIntoRejectsSmallDestination) {

@@ -218,7 +218,9 @@ TEST(BandCrewTest, WithoutCrewEveryBandRunsInline) {
   ASSERT_EQ(BandCrew::Current(), nullptr);
   EXPECT_EQ(BandCount(256, 16), 1);
   const auto self = std::this_thread::get_id();
-  ExpectEachBandOnce(8, [&](int) { EXPECT_EQ(std::this_thread::get_id(), self); });
+  ExpectEachBandOnce(8, [&](int) {
+    EXPECT_EQ(std::this_thread::get_id(), self);
+  });
 }
 
 TEST(BandCrewTest, OneBandJobRunsInlineWithoutWake) {
@@ -229,7 +231,9 @@ TEST(BandCrewTest, OneBandJobRunsInlineWithoutWake) {
   EXPECT_EQ(crew.Width(), 2);
   EXPECT_EQ(BandCount(1, 1), 1);
   const auto self = std::this_thread::get_id();
-  ExpectEachBandOnce(1, [&](int) { EXPECT_EQ(std::this_thread::get_id(), self); });
+  ExpectEachBandOnce(1, [&](int) {
+    EXPECT_EQ(std::this_thread::get_id(), self);
+  });
   EXPECT_EQ(wakes.load(), 0);
   EXPECT_EQ(crew.stats().jobs, 0u);
 }
@@ -279,7 +283,8 @@ TEST(BandCrewTest, HelperLeavesAfterOneBandWhenWorkArrives) {
     // helper gets the chance to take more than one if it did not leave.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (b == 0 && !helper_ran && std::chrono::steady_clock::now() < deadline) {
+    while (b == 0 && !helper_ran &&
+           std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
